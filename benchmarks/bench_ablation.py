@@ -1,4 +1,4 @@
-"""Bench: design-choice ablations called out in DESIGN.md.
+"""Bench: ablations of two design choices the permutation census rests on.
 
 1. **Tie-breaking**: the paper's ``Π_y`` breaks distance ties by lower
    site index (stable sort).  On tie-heavy discrete metrics, breaking

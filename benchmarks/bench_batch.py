@@ -1,15 +1,23 @@
-"""Bench: batched query engine versus looped single-query search.
+"""Bench: batched query engine versus looped scalar single-query search.
 
-The batch refactor's reason to exist: the same workload (same answers,
+The batch engine's reason to exist: the same workload (same answers,
 same distance-evaluation counts) served at a multiple of the queries per
 second, because metric evaluations collapse into a few vectorized
 ``batch_distances`` calls and the permutation index computes one footrule
-matrix for the whole query set.  The looped baselines are timed on a
-query subsample (their per-query cost is flat, so queries/sec is
+matrix for the whole query set.  The library keeps only the batch engine
+(single queries are batches of one), so the looped baseline is the
+scalar engine it replaced, reproduced here: one ``metric.distance`` call
+per candidate and a top-``k`` pick by ``(distance, index)``.  It is timed
+on a query subsample (its per-query cost is flat, so queries/sec is
 unaffected) to keep the bench fast at 100k points.
 """
 
 from __future__ import annotations
+
+import heapq
+import time
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 from conftest import write_result
@@ -24,14 +32,50 @@ N_QUERIES = 1000
 LOOP_SAMPLE = 30
 
 
-def _speedup(index, queries, **workload):
-    batched = run_query_workload(index, queries, batched=True, **workload)
-    looped = run_query_workload(
-        index, queries[:LOOP_SAMPLE], batched=False, **workload
+@dataclass
+class LoopedReport:
+    n_queries: int
+    queries_per_second: float
+    distances_per_query: float
+    indices: List[List[int]]
+
+
+def _looped(index, queries, *, kind, k, budget=None):
+    """The scalar single-query engine: ``metric.distance`` per candidate.
+
+    Candidates are every point for exact kNN and, for the permutation
+    index's approximate kNN, the ``budget`` best of its
+    :meth:`~repro.index.distperm.DistPermIndex.candidate_order` (whose
+    query permutation costs the ``n_sites`` site evaluations).
+    """
+    metric = index.metric  # counting wrapper: evaluations are charged
+    before = metric.count
+    indices = []
+    start = time.perf_counter()
+    for query in queries:
+        if kind == "knn":
+            candidates = range(len(index.points))
+        else:
+            candidates = index.candidate_order(query)[:budget].tolist()
+        best = heapq.nsmallest(
+            k, ((metric.distance(query, index.points[i]), i) for i in candidates)
+        )
+        indices.append([i for _, i in best])
+    elapsed = time.perf_counter() - start
+    return LoopedReport(
+        n_queries=len(queries),
+        queries_per_second=len(queries) / elapsed,
+        distances_per_query=(metric.count - before) / len(queries),
+        indices=indices,
     )
+
+
+def _speedup(index, queries, **workload):
+    batched = run_query_workload(index, queries, **workload)
+    looped = _looped(index, queries[:LOOP_SAMPLE], **workload)
     # Same answers either way on the overlapping prefix.
-    for single, batch in zip(looped.results, batched.results):
-        assert [n.index for n in batch] == [n.index for n in single]
+    for single, batch in zip(looped.indices, batched.results):
+        assert [n.index for n in batch] == single
     return batched, looped, batched.queries_per_second / looped.queries_per_second
 
 

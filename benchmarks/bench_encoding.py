@@ -1,6 +1,7 @@
 """Bench: extended storage encodings — packed ids, entropy, truncation.
 
-Extensions beyond the paper's accounting (DESIGN.md §6):
+Extensions beyond the paper's accounting, which stops at the
+``ceil(log2 N)``-bits-per-element formula:
 
 - **measured** byte sizes of the bit-packed permutation-table encoding
   (not just the formula);

@@ -1,7 +1,10 @@
 """Bench: regenerate Table 2 — permutation census of the sample databases.
 
 Runs the full census over all twelve synthetic SISAP analogues (scaled
-sizes; see DESIGN.md §3) and checks the paper's qualitative findings:
+sizes: the sample databases are not redistributable, and the generators
+in :mod:`repro.datasets` keep each one's metric and distance
+distribution, which is what the census depends on) and checks the
+paper's qualitative findings:
 dictionaries saturate k! at small k, listeria / colors / long realize far
 fewer permutations, and `long` stays well below its point count.
 """

@@ -24,11 +24,10 @@ Examples::
     python -m repro counterexample --points 1000000
     python -m repro figures
 
-``repro search`` drives the *batched* query engine: the whole query set
+``repro search`` drives the batched query engine: the whole query set
 goes through ``knn_batch`` / ``range_batch`` / ``knn_approx_batch`` in
 one call and the report shows queries per second alongside the
-literature's distance-evaluations-per-query cost (``--no-batch`` loops
-the single-query API instead, for comparison).
+literature's distance-evaluations-per-query cost.
 
 The census and search subcommands (and the table generators) take the
 library-wide ``--shards`` / ``--workers`` flags: the database splits
@@ -156,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="queries sampled from the database when no "
                              "--queries file is given (default 100)")
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--no-batch", action="store_true",
-                        help="loop the single-query API instead of the "
-                             "batch engine (baseline comparison)")
     search.add_argument("--show", type=int, default=0,
                         help="print the results of the first N queries")
     search.add_argument("--save-index", default=None, metavar="PATH",
@@ -733,7 +729,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from repro.index.base import Index
 
         probe = index.shards[0] if sharded else index
-        if type(probe)._knn_approx_impl is Index._knn_approx_impl:
+        if type(probe)._knn_approx_batch_impl is Index._knn_approx_batch_impl:
             print(f"note: index {args.index!r} has no budgeted mode; "
                   "--budget is ignored and the search is exact",
                   file=sys.stderr)
@@ -745,7 +741,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             k=args.k,
             radius=args.radius,
             budget=args.budget,
-            batched=not args.no_batch,
         )
     finally:
         if sharded:
@@ -760,7 +755,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "range": f"radius={args.radius}",
         "knn-approx": f"k={min(args.k, len(points))} budget={args.budget}",
     }[args.mode]
-    surface = "looped single-query" if args.no_batch else "batched"
     if sharded and resident:
         layout = f", {index.n_shards} shards x resident workers"
     elif sharded:
@@ -772,7 +766,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"index: {args.index} "
           f"(build distances: {index.stats.build_distances}{layout})")
     print(f"workload: {args.mode} {detail}, "
-          f"{report.n_queries} queries ({surface})")
+          f"{report.n_queries} queries")
     print(f"queries/sec: {report.queries_per_second:.1f}")
     print(f"distances/query: {report.distances_per_query:.1f}")
     if report.degraded:

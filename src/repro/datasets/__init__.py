@@ -2,8 +2,12 @@
 
 The paper's experiments use the SISAP library sample databases, which are
 not redistributable offline.  Every generator here is a seeded synthetic
-analogue preserving the metric and the qualitative distance distribution
-(see DESIGN.md §3 for the substitution rationale).
+analogue preserving the metric and the qualitative distance distribution.
+That is what the censuses depend on: the number of distinct distance
+permutations is governed by the metric and by how distances spread (the
+intrinsic dimensionality), not by the particular words or vectors, so an
+analogue reproduces the tables' qualitative findings, and its seed makes
+every table reproducible offline.
 """
 
 from repro.datasets.dictionaries import (

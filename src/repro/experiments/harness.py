@@ -2,8 +2,7 @@
 
 Besides the permutation-census helpers, this module hosts the search
 workload runner used by the benches and the ``repro search`` CLI: a query
-set is pushed through an index's *batched* API (or, for baseline
-comparisons, the looped single-query API) and both cost measures are
+set is pushed through an index's batched API and both cost measures are
 reported — distance evaluations per query, the literature's metric, and
 queries per second, the production measure the batch engine optimizes.
 
@@ -194,7 +193,6 @@ def run_query_workload(
     k: int = 10,
     radius: float = 1.0,
     budget: Optional[int] = None,
-    batched: bool = True,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     inner_factory: Optional[Callable[[Sequence[Any], Metric], Index]] = None,
@@ -204,11 +202,9 @@ def run_query_workload(
     """Drive a query set through an index and report both cost measures.
 
     ``kind`` selects the operation: ``"knn"`` (exact), ``"range"``, or
-    ``"knn-approx"`` (budgeted).  With ``batched=True`` the batch API
-    answers the whole set in one call; with ``batched=False`` the
-    single-query API is looped — the baseline the batch engine is
-    benchmarked against.  The index's query stats are reset first so the
-    report reflects exactly this workload.
+    ``"knn-approx"`` (budgeted); the batch API answers the whole set in
+    one call.  The index's query stats are reset first so the report
+    reflects exactly this workload.
 
     ``shards`` / ``workers`` run the workload through the sharded
     execution layer: unless ``index`` already is a
@@ -271,7 +267,7 @@ def run_query_workload(
     try:
         return _run_workload(
             index, queries, kind=kind, k=k, radius=radius,
-            budget=budget, batched=batched,
+            budget=budget,
         )
     finally:
         if wrapped is not None:
@@ -286,26 +282,15 @@ def _run_workload(
     k: int,
     radius: float,
     budget: Optional[int],
-    batched: bool,
 ) -> QueryWorkloadReport:
     index.reset_stats()
     start = time.perf_counter()
-    if batched:
-        if kind == "knn":
-            results = index.knn_batch(queries, k)
-        elif kind == "range":
-            results = index.range_batch(queries, radius)
-        else:
-            results = index.knn_approx_batch(queries, k, budget=budget)
+    if kind == "knn":
+        results = index.knn_batch(queries, k)
+    elif kind == "range":
+        results = index.range_batch(queries, radius)
     else:
-        if kind == "knn":
-            results = [index.knn_query(query, k) for query in queries]
-        elif kind == "range":
-            results = [index.range_query(query, radius) for query in queries]
-        else:
-            results = [
-                index.knn_approx(query, k, budget=budget) for query in queries
-            ]
+        results = index.knn_approx_batch(queries, k, budget=budget)
     elapsed = time.perf_counter() - start
     return QueryWorkloadReport(
         kind=kind,

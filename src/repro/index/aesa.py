@@ -8,32 +8,29 @@ close to constant — paid for with quadratic storage, which is why the
 paper calls pure AESA impractical and why LAESA and permutation indexes
 exist.
 
-The batched query path exploits the stored distance matrix: each query's
-pivot trajectory is fully determined by its own history, so queries that
-choose the *same* pivot in the same round (every query starts at pivot 0,
-and trajectories fragment only gradually) are evaluated together with one
-:meth:`~repro.metrics.base.Metric.batch_distances` call, and their bound
-updates become one broadcast against the stored matrix row.  Results and
-per-query evaluation counts are identical to the single-query algorithm.
+Queries run in rounds: each query's pivot trajectory is fully determined
+by its own history, so queries that choose the *same* pivot in the same
+round (every query starts at the same pivot, and trajectories fragment
+only gradually) are evaluated together with one
+:meth:`~repro.metrics.base.Metric.batch_distances` call.  Every query
+spends exactly the evaluations of the classic one-query algorithm.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor, NeighborArrays
-from repro.index.batching import heaps_to_arrays, rows_from_pairs
+from repro.index.base import Index, NeighborArrays
+from repro.index.batching import (
+    PRUNE_SAFETY,
+    heaps_to_arrays,
+    offer,
+    rows_from_pairs,
+)
 
 __all__ = ["AESA"]
-
-#: Float-safety slack on elimination: stored matrix entries and freshly
-#: computed distances may differ in the last ulp (different summation
-#: orders), so a bound exceeding the radius by less than this is not
-#: trusted.  Slack only admits extra candidates; results stay exact.
-_SAFETY = 1e-9
 
 
 class AESA(Index):
@@ -42,138 +39,80 @@ class AESA(Index):
     def _build(self) -> None:
         self.matrix = self.metric.pairwise(self.points)
 
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        n = len(self.points)
-        lower = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        results: List[Neighbor] = []
-        threshold = radius + _SAFETY * (1.0 + radius)
-        while alive.any():
-            candidates = np.flatnonzero(alive)
-            pivot = int(candidates[np.argmin(lower[candidates])])
-            alive[pivot] = False
-            d = self.metric.distance(query, self.points[pivot])
-            if d <= radius:
-                results.append(Neighbor(d, pivot))
-            np.maximum(lower, np.abs(d - self.matrix[pivot]), out=lower)
-            alive &= lower <= threshold
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        n = len(self.points)
-        lower = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        heap: List[tuple] = []
-        while alive.any():
-            candidates = np.flatnonzero(alive)
-            pivot = int(candidates[np.argmin(lower[candidates])])
-            alive[pivot] = False
-            d = self.metric.distance(query, self.points[pivot])
-            item = (-d, -pivot)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-            np.maximum(lower, np.abs(d - self.matrix[pivot]), out=lower)
-            if len(heap) == k:
-                kth = -heap[0][0]
-                alive &= lower <= kth + _SAFETY * (1.0 + kth)
-        return [Neighbor(-nd, -ni) for nd, ni in heap]
-
-    def _group_by_pivot(
-        self, active: List[int], lower: np.ndarray, alive: np.ndarray
-    ) -> Dict[int, List[int]]:
-        """AESA pivot choice per active query, grouped for shared evaluation."""
-        groups: Dict[int, List[int]] = {}
-        for qi in active:
-            candidates = np.flatnonzero(alive[qi])
-            pivot = int(candidates[np.argmin(lower[qi, candidates])])
-            groups.setdefault(pivot, []).append(qi)
-        return groups
-
-    def _evaluate_group(
+    def _eliminate(
         self,
         queries: Sequence[Any],
-        members: List[int],
-        pivot: int,
-        lower: np.ndarray,
-        alive: np.ndarray,
-    ) -> np.ndarray:
-        """Evaluate one pivot for several queries; update bounds in bulk."""
-        distances = self.metric.batch_distances(
-            [queries[qi] for qi in members], [self.points[pivot]]
-        )[:, 0]
-        alive[members, pivot] = False
-        lower[members] = np.maximum(
-            lower[members],
-            np.abs(distances[:, None] - self.matrix[pivot][None, :]),
-        )
-        return distances
+        visit: Callable[[int, int, float], float],
+    ) -> None:
+        """Run the AESA elimination loop for every query.
+
+        Each round, every still-active query picks its candidate with the
+        smallest lower bound; queries that picked the same pivot share
+        one :meth:`~repro.metrics.base.Metric.batch_distances` call.
+        ``visit(query, pivot, distance)`` records the evaluation and
+        returns the query's elimination threshold (``inf`` while nothing
+        can be eliminated yet).
+
+        Bounds only grow and thresholds only shrink, so a candidate is
+        alive exactly while its current bound is within the current
+        threshold: no elimination mask is kept.  Evaluated candidates
+        get an infinite bound, the next pivot is the plain argmin (first
+        index among equal bounds), and a query is done once that bound
+        exceeds its threshold.
+        """
+        lower = np.zeros((len(queries), len(self.points)))
+        thresholds = [np.inf] * len(queries)
+        active = list(range(len(queries)))
+        while active:
+            groups: Dict[int, List[int]] = {}
+            for qi in active:
+                bound = lower[qi]
+                pivot = int(bound.argmin())
+                smallest = float(bound[pivot])
+                if smallest < np.inf and smallest <= thresholds[qi]:
+                    groups.setdefault(pivot, []).append(qi)
+            active = []
+            for pivot, members in groups.items():
+                distances = self.metric.batch_distances(
+                    [queries[qi] for qi in members], [self.points[pivot]]
+                )[:, 0]
+                row = self.matrix[pivot]
+                for qi, d in zip(members, distances.tolist()):
+                    bound = lower[qi]
+                    np.maximum(bound, np.abs(d - row), out=bound)
+                    bound[pivot] = np.inf
+                    thresholds[qi] = visit(qi, pivot, d)
+                    active.append(qi)
 
     def _range_batch_impl(
         self, queries: Sequence[Any], radius: float
     ) -> NeighborArrays:
-        n = len(self.points)
-        n_queries = len(queries)
-        lower = np.zeros((n_queries, n))
-        alive = np.ones((n_queries, n), dtype=bool)
-        hit_queries: List[np.ndarray] = []
-        hit_indices: List[np.ndarray] = []
-        hit_distances: List[np.ndarray] = []
-        threshold = radius + _SAFETY * (1.0 + radius)
-        active = list(range(n_queries))
-        while active:
-            groups = self._group_by_pivot(active, lower, alive)
-            for pivot, members in groups.items():
-                distances = self._evaluate_group(
-                    queries, members, pivot, lower, alive
-                )
-                hits = np.flatnonzero(distances <= radius)
-                if hits.shape[0]:
-                    hit_queries.append(
-                        np.asarray(members, dtype=np.int64)[hits]
-                    )
-                    hit_indices.append(
-                        np.full(hits.shape[0], pivot, dtype=np.int64)
-                    )
-                    hit_distances.append(distances[hits])
-                alive[members] &= lower[members] <= threshold
-            active = [qi for qi in active if alive[qi].any()]
-        if not hit_queries:
-            return NeighborArrays.empty(n_queries)
-        return rows_from_pairs(
-            n_queries,
-            np.concatenate(hit_queries),
-            np.concatenate(hit_indices),
-            np.concatenate(hit_distances),
-        )
+        hits: List[Tuple[int, int, float]] = []
+        threshold = radius + PRUNE_SAFETY * (1.0 + radius)
+
+        def visit(qi: int, pivot: int, d: float) -> float:
+            if d <= radius:
+                hits.append((qi, pivot, d))
+            return threshold
+
+        self._eliminate(queries, visit)
+        query_ids, indices, distances = zip(*hits) if hits else ((), (), ())
+        return rows_from_pairs(len(queries), query_ids, indices, distances)
 
     def _knn_batch_impl(
         self, queries: Sequence[Any], k: int
     ) -> NeighborArrays:
-        n = len(self.points)
-        n_queries = len(queries)
-        lower = np.zeros((n_queries, n))
-        alive = np.ones((n_queries, n), dtype=bool)
-        heaps: List[List[tuple]] = [[] for _ in range(n_queries)]
-        active = list(range(n_queries))
-        while active:
-            groups = self._group_by_pivot(active, lower, alive)
-            for pivot, members in groups.items():
-                distances = self._evaluate_group(
-                    queries, members, pivot, lower, alive
-                )
-                for qi, d in zip(members, distances):
-                    heap = heaps[qi]
-                    item = (-float(d), -pivot)
-                    if len(heap) < k:
-                        heapq.heappush(heap, item)
-                    elif item > heap[0]:
-                        heapq.heapreplace(heap, item)
-                    if len(heap) == k:
-                        kth = -heap[0][0]
-                        alive[qi] &= lower[qi] <= kth + _SAFETY * (1.0 + kth)
-            active = [qi for qi in active if alive[qi].any()]
+        heaps: List[List[tuple]] = [[] for _ in range(len(queries))]
+
+        def visit(qi: int, pivot: int, d: float) -> float:
+            heap = heaps[qi]
+            offer(heap, k, d, pivot)
+            if len(heap) < k:
+                return np.inf
+            kth = -heap[0][0]
+            return kth + PRUNE_SAFETY * (1.0 + kth)
+
+        self._eliminate(queries, visit)
         return heaps_to_arrays(heaps)
 
     def storage_floats(self) -> int:

@@ -1,34 +1,32 @@
 """Common index interface: exact range / kNN queries with cost accounting.
 
-Two query surfaces are exposed:
-
-**Single-query** — :meth:`Index.range_query`, :meth:`Index.knn_query`, and
-:meth:`Index.knn_approx` answer one query at a time; subclasses implement
-``_range_impl`` / ``_knn_impl`` (and optionally ``_knn_approx_impl``).
+Every index has one query engine: the batch hooks ``_range_batch_impl``,
+``_knn_batch_impl`` and (optionally) ``_knn_approx_batch_impl``, which
+answer a whole query set as :class:`NeighborArrays` columns.  Two public
+surfaces sit on top of them:
 
 **Batched** — :meth:`Index.range_batch`, :meth:`Index.knn_batch`, and
-:meth:`Index.knn_approx_batch` answer a whole query set in one call.  The
-generic fallbacks simply loop the single-query implementations, so every
-index supports the batch API out of the box; vectorized subclasses
-(:class:`~repro.index.linear.LinearScan`,
-:class:`~repro.index.distperm.DistPermIndex`,
-:class:`~repro.index.aesa.AESA`) override the ``_*_batch_impl`` hooks to
-amortize metric evaluations into a few
-:meth:`~repro.metrics.base.Metric.batch_distances` calls.  Batched calls
-are answer-for-answer identical to the single-query API — same neighbor
-sets, same ``(distance, index)`` tie-breaking — and keep
-:class:`SearchStats` accounting correct with one entry per query, so
-distance-evaluation costs reported by experiments do not depend on which
-surface drove the search.
+:meth:`Index.knn_approx_batch` (and their ``*_batch_arrays`` column
+forms) answer a query set in one call.  Vectorized indexes amortize
+metric evaluations into a few
+:meth:`~repro.metrics.base.Metric.batch_distances` calls.
 
-One caveat bounds that equivalence: vectorized metrics may compute a
-distance through a different floating-point formula than the scalar path
-(the Euclidean dot-product identity), so batched distances can differ in
-the last ulp.  Candidate *sets* and tie-breaking on equal computed
-distances are unaffected, but two distinct points at *exactly* equal true
-distance can resolve to either equidistant neighbor depending on the
-surface.  Discrete metrics (strings, trees, matrices) share one code path
-and are bit-identical.
+**Single-query** — :meth:`Index.range_query`, :meth:`Index.knn_query`,
+and :meth:`Index.knn_approx` run the same hooks on a batch of one, so
+both surfaces return the same neighbor sets with the same ``(distance,
+index)`` tie-breaking and spend the same distance evaluations.
+:class:`SearchStats` keeps one entry per query either way, so the
+evaluation costs reported by experiments do not depend on which surface
+drove the search.
+
+One caveat bounds that equivalence: a vectorized metric may compute a
+distance through a floating-point formula whose rounding depends on the
+block shape (the Euclidean dot-product identity), so distances can
+differ in the last ulp between a batch of one and a larger batch.
+Candidate *sets* and tie-breaking on equal computed distances are
+unaffected, but two distinct points at *exactly* equal true distance can
+resolve to either equidistant neighbor.  Discrete metrics (strings,
+trees, matrices) are bit-identical.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ class NeighborArrays:
 
     def counts(self) -> np.ndarray:
         """Per-query result counts (``np.diff`` of the offsets)."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     @classmethod
     def empty(cls, n_queries: int) -> "NeighborArrays":
@@ -142,13 +140,19 @@ class NeighborArrays:
 
     def sorted_rows(self) -> "NeighborArrays":
         """Each row sorted by ``(distance, index)`` — the public order."""
-        order = np.lexsort((self.indices, self.distances, self.row_ids()))
+        if self.n_queries == 1:
+            # One row (a single query): no row key to sort by.
+            order = np.lexsort((self.indices, self.distances))
+        else:
+            order = np.lexsort((self.indices, self.distances, self.row_ids()))
         return NeighborArrays(
             self.distances[order], self.indices[order], self.offsets
         )
 
     def trim(self, k: int) -> "NeighborArrays":
         """Keep the first ``k`` stored entries of each row."""
+        if self.indices.shape[0] <= k:
+            return self  # no row can hold more than k entries
         counts = self.counts()
         rank = np.arange(self.indices.shape[0], dtype=np.int64)
         rank -= np.repeat(self.offsets[:-1], counts)
@@ -166,6 +170,8 @@ class NeighborArrays:
         """Stack batches along the query axis (row-wise concatenation)."""
         if not parts:
             return cls.empty(0)
+        if len(parts) == 1:
+            return parts[0]
         distances = np.concatenate([p.distances for p in parts])
         indices = np.concatenate([p.indices for p in parts])
         pieces = [np.zeros(1, dtype=np.int64)]
@@ -180,13 +186,6 @@ class NeighborArrays:
 #: per-query int array (the sharded global-footrule split allocates one
 #: candidate budget per query per shard).
 Budget = Union[None, int, np.ndarray]
-
-
-def _row_budget(budget: Budget, row: int) -> Optional[int]:
-    """The scalar budget for one query of a (possibly per-query) budget."""
-    if isinstance(budget, np.ndarray):
-        return int(budget[row])
-    return budget
 
 
 @dataclass
@@ -226,11 +225,13 @@ class SearchStats:
 class Index(ABC):
     """Base class for proximity-search indexes.
 
-    Subclasses implement :meth:`_range_impl` and may override
-    :meth:`_knn_impl`; the public methods validate arguments and keep the
-    distance-evaluation accounts.  ``self.metric`` is a
-    :class:`~repro.metrics.base.CountingMetric` wrapping the supplied
-    metric, so every evaluation anywhere in the index is counted.
+    Subclasses implement :meth:`_range_batch_impl` and
+    :meth:`_knn_batch_impl`, and may override
+    :meth:`_knn_approx_batch_impl`; the public methods validate
+    arguments and keep the distance-evaluation accounts.
+    ``self.metric`` is a :class:`~repro.metrics.base.CountingMetric`
+    wrapping the supplied metric, so every evaluation anywhere in the
+    index is counted.
     """
 
     def __init__(self, points: Sequence[Any], metric: Metric):
@@ -247,76 +248,47 @@ class Index(ABC):
     def _build(self) -> None:
         """Construct the index; metric evaluations are charged to build."""
 
+    # ------------------------------------------------------------------
+    # Query engine hooks.  Each answers a whole query set and returns a
+    # :class:`NeighborArrays` (rows need not be sorted; the public
+    # methods sort and cut).  Single queries run as batches of one.
+    # ------------------------------------------------------------------
+
     @abstractmethod
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        """Return all points within ``radius`` of ``query`` (inclusive)."""
+    def _range_batch_impl(
+        self, queries: Sequence[Any], radius: float
+    ) -> NeighborArrays:
+        """Every point within ``radius`` of each query (inclusive)."""
 
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        """Default kNN: one infinite-radius range scan, sorted, cut at ``k``.
+    @abstractmethod
+    def _knn_batch_impl(
+        self, queries: Sequence[Any], k: int
+    ) -> NeighborArrays:
+        """The ``k`` nearest points of each query (``k <= len(points)``)."""
 
-        No radius shrinking happens here — the fallback evaluates every
-        candidate the range implementation visits at infinite radius.
-        Subclasses with real pruning (the tree indexes track the running
-        k-th distance level by level) override this.
-        """
-        results = self._range_impl(query, float("inf"))
-        results.sort()
-        return results[:k]
-
-    def _knn_approx_impl(
-        self, query: Any, k: int, budget: Optional[int]
-    ) -> List[Neighbor]:
+    def _knn_approx_batch_impl(
+        self, queries: Sequence[Any], k: int, budget: Budget
+    ) -> NeighborArrays:
         """Default approximate kNN: exact search, ``budget`` ignored.
 
         Budget-aware indexes (the permutation index) override this with a
         real recall-versus-evaluations trade-off.
         """
-        return self._knn_impl(query, k)
+        return self._knn_batch_impl(queries, k)
 
     # ------------------------------------------------------------------
-    # Batched implementation hooks.  Each returns a
-    # :class:`NeighborArrays` (rows need not be sorted; the public
-    # methods sort and cut).  The fallbacks loop the single-query
-    # implementations; vectorized subclasses override them with
-    # column-native kernels.  A hook returning per-query ``Neighbor``
-    # lists is coerced at the boundary, so legacy overrides keep
-    # working.
+    # Public single-query API: views of one row of a batch of one.
     # ------------------------------------------------------------------
 
-    def _range_batch_impl(
-        self, queries: Sequence[Any], radius: float
-    ) -> NeighborArrays:
-        return NeighborArrays.from_lists(
-            [self._range_impl(query, radius) for query in queries]
-        )
+    def _batch_of_one(self, query: Any) -> Sequence[Any]:
+        """``query`` as a one-query batch shaped like the database.
 
-    def _knn_batch_impl(
-        self, queries: Sequence[Any], k: int
-    ) -> NeighborArrays:
-        return NeighborArrays.from_lists(
-            [self._knn_impl(query, k) for query in queries]
-        )
-
-    def _knn_approx_batch_impl(
-        self, queries: Sequence[Any], k: int, budget: Budget
-    ) -> NeighborArrays:
-        return NeighborArrays.from_lists(
-            [
-                self._knn_approx_impl(query, k, _row_budget(budget, q))
-                for q, query in enumerate(queries)
-            ]
-        )
-
-    @staticmethod
-    def _as_arrays(result) -> NeighborArrays:
-        """Coerce a batch hook's return value to columns."""
-        if isinstance(result, NeighborArrays):
-            return result
-        return NeighborArrays.from_lists(result)
-
-    # ------------------------------------------------------------------
-    # Public single-query API.
-    # ------------------------------------------------------------------
+        Over an array database the batch is a one-row array, so the
+        engine's gathers and the metric's array conversion stay cheap.
+        """
+        if isinstance(self.points, np.ndarray):
+            return np.asarray(query)[None]
+        return [query]
 
     def range_query(self, query: Any, radius: float) -> List[Neighbor]:
         """Return every database element within ``radius`` of ``query``.
@@ -324,24 +296,13 @@ class Index(ABC):
         Results are sorted by distance (ties by index) and *exact*: the
         same set a linear scan returns.
         """
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        before = self.metric.count
-        results = sorted(self._range_impl(query, radius))
-        self.stats.query_distances += self.metric.count - before
-        self.stats.queries += 1
-        return results
+        return self.range_batch_arrays(
+            self._batch_of_one(query), radius
+        ).row_list(0)
 
     def knn_query(self, query: Any, k: int) -> List[Neighbor]:
         """Return the ``k`` nearest database elements, sorted by distance."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        k = min(k, len(self.points))
-        before = self.metric.count
-        results = sorted(self._knn_impl(query, k))[:k]
-        self.stats.query_distances += self.metric.count - before
-        self.stats.queries += 1
-        return results
+        return self.knn_batch_arrays(self._batch_of_one(query), k).row_list(0)
 
     def knn_approx(
         self, query: Any, k: int, budget: Optional[int] = None
@@ -349,18 +310,12 @@ class Index(ABC):
         """Return (approximately) the ``k`` nearest elements under a budget.
 
         ``budget`` caps the number of true distance evaluations spent on
-        candidates.  The base implementation is exact and ignores the
-        budget; indexes with a genuine approximate mode (the permutation
-        index) override :meth:`_knn_approx_impl`.
+        candidates.  Exact indexes ignore it; the permutation index trades
+        recall for evaluations along it.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        k = min(k, len(self.points))
-        before = self.metric.count
-        results = sorted(self._knn_approx_impl(query, k, budget))[:k]
-        self.stats.query_distances += self.metric.count - before
-        self.stats.queries += 1
-        return results
+        return self.knn_approx_batch_arrays(
+            self._batch_of_one(query), k, budget
+        ).row_list(0)
 
     # ------------------------------------------------------------------
     # Public batched API.  The array methods are the primary surface —
@@ -375,9 +330,7 @@ class Index(ABC):
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         before = self.metric.count
-        arrays = self._as_arrays(
-            self._range_batch_impl(queries, radius)
-        ).sorted_rows()
+        arrays = self._range_batch_impl(queries, radius).sorted_rows()
         self.stats.query_distances += self.metric.count - before
         self.stats.queries += arrays.n_queries
         return arrays
@@ -390,11 +343,7 @@ class Index(ABC):
             raise ValueError("k must be >= 1")
         k = min(k, len(self.points))
         before = self.metric.count
-        arrays = (
-            self._as_arrays(self._knn_batch_impl(queries, k))
-            .sorted_rows()
-            .trim(k)
-        )
+        arrays = self._knn_batch_impl(queries, k).sorted_rows().trim(k)
         self.stats.query_distances += self.metric.count - before
         self.stats.queries += arrays.n_queries
         return arrays
@@ -413,7 +362,7 @@ class Index(ABC):
         k = min(k, len(self.points))
         before = self.metric.count
         arrays = (
-            self._as_arrays(self._knn_approx_batch_impl(queries, k, budget))
+            self._knn_approx_batch_impl(queries, k, budget)
             .sorted_rows()
             .trim(k)
         )

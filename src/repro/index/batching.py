@@ -4,8 +4,9 @@ The batched query path works on full query-to-database distance matrices:
 one :meth:`~repro.metrics.base.Metric.batch_distances` call per chunk of
 queries instead of one Python-level metric call per (query, point) pair.
 Top-k extraction uses ``np.argpartition`` with an explicit boundary-tie
-repair so that results are *identical* to the single-query API, which
-keeps the ``k`` smallest ``(distance, index)`` pairs lexicographically.
+repair so that every index keeps the ``k`` lexicographically smallest
+``(distance, index)`` pairs — the ``sorted(Neighbor)`` order of the
+public API.
 
 Chunking bounds peak memory: a chunk never materializes more than about
 ``_TARGET_CHUNK_ELEMENTS`` matrix entries, so a million-point database
@@ -17,29 +18,25 @@ traversal level rather than a dense block.  :func:`frontier_distances`
 evaluates such a frontier by grouping pairs on whichever side has fewer
 distinct members — one ``batch_distances`` call per group, so vectorized
 metric kernels fire while the evaluation count charged to
-:class:`~repro.metrics.base.CountingMetric` stays exactly one per pair,
-matching the scalar single-query traversal.  :class:`BatchKnnState`
-carries the per-query bounded heaps and pruning radii such a traversal
-maintains, with the same ``(-distance, -index)`` tie-breaking as
-:func:`scan_knn`.
+:class:`~repro.metrics.base.CountingMetric` stays exactly one per pair.
+:class:`BatchKnnState` carries the per-query bounded heaps and pruning
+radii such a traversal maintains, with the ``(-distance, -index)``
+tie-breaking of :func:`offer`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.index.base import Neighbor, NeighborArrays
+from repro.index.base import NeighborArrays
 from repro.metrics.base import Metric
 
 __all__ = [
     "query_chunks",
-    "scan_knn",
     "offer",
-    "heap_radius",
-    "heap_neighbors",
     "heaps_to_arrays",
     "smallest_k_indices",
     "top_k_arrays",
@@ -48,6 +45,7 @@ __all__ = [
     "exhaustive_knn_batch",
     "exhaustive_range_batch",
     "take_points",
+    "expand_csr",
     "frontier_distances",
     "BatchKnnState",
     "PRUNE_SAFETY",
@@ -69,16 +67,6 @@ def offer(heap: List[tuple], k: int, distance: float, index: int) -> None:
         heapq.heapreplace(heap, item)
 
 
-def heap_radius(heap: List[tuple], k: int) -> float:
-    """Current pruning radius: the k-th best distance, or inf if unfilled."""
-    return -heap[0][0] if len(heap) == k else float("inf")
-
-
-def heap_neighbors(heap: List[tuple]) -> List[Neighbor]:
-    """Convert a bounded max-heap back into ``Neighbor`` objects."""
-    return [Neighbor(-nd, -ni) for nd, ni in heap]
-
-
 def heaps_to_arrays(heaps: Sequence[List[tuple]]) -> NeighborArrays:
     """Convert per-query bounded max-heaps into CSR result columns."""
     counts = np.asarray([len(heap) for heap in heaps], dtype=np.int64)
@@ -96,36 +84,12 @@ def heaps_to_arrays(heaps: Sequence[List[tuple]]) -> NeighborArrays:
     return NeighborArrays(distances, indices, offsets)
 
 
-def scan_knn(
-    metric: Metric,
-    query: Any,
-    points: Sequence[Any],
-    k: int,
-    indices: Optional[Sequence[int]] = None,
-) -> List[Neighbor]:
-    """Exact kNN of one query by scanning candidates with a bounded heap.
-
-    The ``(-distance, -index)`` max-heap keeps the ``k`` lexicographically
-    smallest ``(distance, index)`` pairs regardless of visit order, so
-    ties break exactly as in the ``sorted(Neighbor)`` order of the public
-    API.  ``indices`` restricts (and orders) the candidates scanned; the
-    default scans the whole database.  This is the single home of the
-    scalar scan idiom shared by the linear and permutation indexes.
-    """
-    heap: List[tuple] = []
-    if indices is None:
-        candidates = enumerate(points)
-    else:
-        candidates = ((int(i), points[int(i)]) for i in indices)
-    for i, point in candidates:
-        offer(heap, k, metric.distance(query, point), i)
-    return heap_neighbors(heap)
-
-#: Float-safety slack for tree prune bounds, as in AESA: build-time
-#: distances now come from vectorized kernels whose last-ulp rounding can
-#: differ from the scalar query-time formula, so comparisons against
-#: stored radii get ``PRUNE_SAFETY * (1 + bound)`` of slack.  Slack only
-#: ever admits extra candidates; results stay exact.
+#: Float-safety slack for prune and elimination bounds: stored build-time
+#: distances (tree radii, AESA matrices, pivot tables) and fresh
+#: query-time distances may come from differently shaped kernel blocks
+#: whose last-ulp rounding differs, so comparisons against stored values
+#: get ``PRUNE_SAFETY * (1 + bound)`` of slack.  Slack only ever admits
+#: extra candidates; results stay exact.
 PRUNE_SAFETY = 1e-9
 
 #: Upper bound on the number of distance-matrix entries materialized per
@@ -146,7 +110,23 @@ def take_points(points: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
     """Gather ``points[indices]``, fancy-indexing arrays, looping otherwise."""
     if isinstance(points, np.ndarray):
         return points[indices]
-    return [points[int(i)] for i in indices]
+    return [points[i] for i in np.asarray(indices).tolist()]
+
+
+def expand_csr(
+    offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten the CSR rows ``rows`` of a table with row ``offsets``.
+
+    Returns ``(owner, slots)``: for every entry of every selected row,
+    the position of its row within ``rows`` and its slot in the table's
+    flat columns, rows in the given order and entries in table order.
+    """
+    counts = offsets[rows + 1] - offsets[rows]
+    owner = np.repeat(np.arange(rows.shape[0]), counts)
+    starts = offsets[rows] - (np.cumsum(counts) - counts)
+    slots = np.arange(owner.shape[0]) + np.repeat(starts, counts)
+    return owner, slots
 
 
 def smallest_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -155,7 +135,7 @@ def smallest_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     ``np.argpartition`` alone breaks ties at the k-th value arbitrarily;
     the repair step collects *every* entry at or below the partition
     boundary and resolves ties by lower index, matching the
-    ``sorted(Neighbor)`` order of the single-query API exactly.  The
+    ``sorted(Neighbor)`` order of the public API exactly.  The
     result is sorted by ``(value, index)``.
     """
     n = values.shape[0]
@@ -205,6 +185,11 @@ def top_k_arrays(distances: np.ndarray, k: int) -> NeighborArrays:
     n_queries, n = distances.shape
     if n_queries == 0:
         return NeighborArrays.empty(0)
+    if n_queries == 1:
+        cols = smallest_k_indices(distances[0], k)
+        return NeighborArrays(
+            distances[0, cols], cols, np.asarray([0, cols.shape[0]])
+        )
     if k >= n:
         rows = np.repeat(np.arange(n_queries, dtype=np.int64), n)
         cols = np.tile(np.arange(n, dtype=np.int64), n_queries)
@@ -272,9 +257,28 @@ def exhaustive_range_batch(
     return NeighborArrays.concat(parts)
 
 
-def _groups(keys: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
-    """Yield ``(positions, key)`` for each distinct value of ``keys``."""
+def _single_key(keys: np.ndarray) -> bool:
+    """Whether a nonempty key array holds one distinct value.
+
+    The common shape of small batches (one query, or one vantage shared
+    by every pair) — checked in one pass so it skips the sort.
+    """
+    return keys.shape[0] == 1 or bool((keys == keys[0]).all())
+
+
+def _groups(
+    keys: np.ndarray, single: bool = False
+) -> Iterator[Tuple[Union[np.ndarray, slice], int]]:
+    """Yield ``(positions, key)`` for each distinct value of ``keys``.
+
+    ``positions`` index ``keys``; a single distinct key (``single`` says
+    the caller already knows) yields the whole range as a slice, so its
+    gathers are views.
+    """
     if keys.shape[0] == 0:
+        return
+    if single or _single_key(keys):
+        yield slice(None), int(keys[0])
         return
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -302,24 +306,30 @@ def frontier_distances(
     points across every query; deep fragmented levels share each query
     across many nodes) and every group becomes one
     :meth:`~repro.metrics.base.Metric.batch_distances` call, so the
-    evaluation count stays exactly the number of pairs — the accounting
-    of the scalar single-query traversal — while vectorized kernels do
-    the work.
+    evaluation count stays exactly the number of pairs — one per
+    visited ``(query, point)`` pair, as in the classic one-query
+    traversal — while vectorized kernels do the work.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     point_ids = np.asarray(point_ids, dtype=np.int64)
     out = np.empty(query_ids.shape[0], dtype=np.float64)
     if out.shape[0] == 0:
         return out
-    if np.unique(point_ids).shape[0] <= np.unique(query_ids).shape[0]:
-        for positions, point in _groups(point_ids):
+    single_point = _single_key(point_ids)
+    single_query = not single_point and _single_key(query_ids)
+    by_point = single_point or (
+        not single_query
+        and np.unique(point_ids).shape[0] <= np.unique(query_ids).shape[0]
+    )
+    if by_point:
+        for positions, point in _groups(point_ids, single=single_point):
             block = metric.batch_distances(
                 take_points(queries, query_ids[positions]),
                 [points[point]],
             )
             out[positions] = block[:, 0]
     else:
-        for positions, query in _groups(query_ids):
+        for positions, query in _groups(query_ids, single=single_query):
             block = metric.batch_distances(
                 [queries[query]],
                 take_points(points, point_ids[positions]),
@@ -328,14 +338,20 @@ def frontier_distances(
     return out
 
 
+#: :meth:`BatchKnnState.offer_pairs` pre-filters groups of more than
+#: this many pairs with numpy; smaller groups (a single query's frontier,
+#: one center) cost fewer Python heap offers than the skip's numpy calls.
+_OFFER_SKIP_MIN = 16
+
+
 class BatchKnnState:
     """Per-query bounded heaps and pruning radii for batched kNN.
 
     A level-synchronous tree traversal offers every frontier distance of
     a level, then prunes the next level with the post-level radii.  The
-    heaps are the same ``(-distance, -index)`` bounded max-heaps as
-    :func:`scan_knn`, so final contents are independent of offer order
-    and tie-break identically to the single-query path.
+    heaps are :func:`offer`'s ``(-distance, -index)`` bounded max-heaps,
+    so final contents are independent of offer order and tie-break as
+    ``sorted(Neighbor)`` does.
     """
 
     def __init__(self, n_queries: int, k: int):
@@ -352,22 +368,24 @@ class BatchKnnState:
     ) -> None:
         """Offer one ``(distance, database index)`` candidate per pair.
 
-        Pairs whose distance already exceeds a full heap's k-th best are
-        skipped wholesale (their offers would be no-ops); pairs tied with
-        the boundary still go through the heap so index tie-breaking
-        stays exact.
+        In groups of more than :data:`_OFFER_SKIP_MIN` pairs, pairs whose
+        distance already exceeds a full heap's k-th best are skipped
+        wholesale (their offers would be no-ops); pairs tied with the
+        boundary still go through the heap so index tie-breaking stays
+        exact.
         """
         k = self.k
         query_ids = np.asarray(query_ids, dtype=np.int64)
         for positions, qi in _groups(query_ids):
             heap = self.heaps[qi]
             group_d = distances[positions]
-            if len(heap) == k:
-                positions = positions[group_d <= -heap[0][0]]
-                group_d = distances[positions]
             group_i = db_ids[positions]
-            for d, i in zip(group_d, group_i):
-                offer(heap, k, float(d), int(i))
+            if len(heap) == k and group_d.shape[0] > _OFFER_SKIP_MIN:
+                keep = group_d <= -heap[0][0]
+                group_d = group_d[keep]
+                group_i = group_i[keep]
+            for d, i in zip(group_d.tolist(), group_i.tolist()):
+                offer(heap, k, d, i)
             if len(heap) == k:
                 self.radii[qi] = -heap[0][0]
 

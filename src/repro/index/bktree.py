@@ -15,30 +15,28 @@ time loop builds (every point is compared once against each ancestor
 element) without the per-pair Python overhead.  Queries traverse
 level-synchronously over an explicit frontier of ``(query, node)`` pairs,
 which :meth:`_range_batch_impl` / :meth:`_knn_batch_impl` evaluate with a
-few :func:`~repro.index.batching.frontier_distances` calls per level —
-answer-for-answer and count-for-count identical to the single-query path.
+few :func:`~repro.index.batching.frontier_distances` calls per level,
+charging exactly one evaluation per visited ``(query, node)`` pair.
 
-kNN traversal is level-synchronous rather than best-first: the
-pruning radius converges once per level instead of once per node, so
-a single kNN query evaluates some 25-60% more distances than the
-classic bound-ordered descent did — the price of a batched traversal
-whose answers *and* evaluation counts are identical on both query
-surfaces.  Range queries visit the same node set either way.
+kNN traversal is level-synchronous rather than best-first, single
+queries included (they run as batches of one): the pruning radius
+converges once per level instead of once per node, so a kNN query
+evaluates some 25-60% more distances than the classic bound-ordered
+descent — the price of one batched traversal for every query surface.
+Range queries visit the same node set either way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor, NeighborArrays
+from repro.index.base import Index, NeighborArrays
 from repro.index.batching import (
     BatchKnnState,
+    expand_csr,
     frontier_distances,
-    heap_neighbors,
-    heap_radius,
-    offer,
     rows_from_pairs,
     take_points,
 )
@@ -112,67 +110,10 @@ class BKTree(Index):
                 )
         return rounded.astype(np.int64)
 
-    def _distance_int(self, x: Any, y: Any) -> int:
-        d = self.metric.distance(x, y)
-        rounded = int(round(d))
-        if abs(d - rounded) > 1e-9:
-            raise ValueError(
-                f"BKTree requires an integer-valued metric, got d={d}"
-            )
-        return rounded
-
-    def _node_children(self, node: int) -> range:
-        return range(
-            int(self._child_offsets[node]), int(self._child_offsets[node + 1])
-        )
-
     # ------------------------------------------------------------------
-    # Single-query traversal: the same level-synchronous algorithm the
-    # batched path vectorizes, with scalar metric calls.
-    # ------------------------------------------------------------------
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        results: List[Neighbor] = []
-        frontier = [0]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                d = self._distance_int(query, self.points[self._element[node]])
-                if d <= radius:
-                    results.append(Neighbor(float(d), int(self._element[node])))
-                for slot in self._node_children(node):
-                    # Triangle inequality: any x in this subtree satisfies
-                    # |d(q, v) - bucket| <= d(q, x).
-                    if abs(d - self._child_buckets[slot]) <= radius:
-                        next_frontier.append(int(self._child_nodes[slot]))
-            frontier = next_frontier
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        heap: List[tuple] = []
-        frontier = [0]
-        while frontier:
-            distances = [
-                self._distance_int(query, self.points[self._element[node]])
-                for node in frontier
-            ]
-            for node, d in zip(frontier, distances):
-                offer(heap, k, float(d), int(self._element[node]))
-            # Prune with the post-level radius: children survive only if
-            # their bucket ring can still intersect the query ball.
-            r = heap_radius(heap, k)
-            next_frontier: List[int] = []
-            for node, d in zip(frontier, distances):
-                for slot in self._node_children(node):
-                    if abs(d - self._child_buckets[slot]) <= r:
-                        next_frontier.append(int(self._child_nodes[slot]))
-            frontier = next_frontier
-        return heap_neighbors(heap)
-
-    # ------------------------------------------------------------------
-    # Batched traversal: per level, one frontier_distances evaluation of
-    # every surviving (query, node) pair, then a vectorized bucket prune
-    # over the CSR child table.
+    # Query traversal, level-synchronous: per level, one
+    # frontier_distances evaluation of every surviving (query, node)
+    # pair, then a vectorized bucket prune over the CSR child table.
     # ------------------------------------------------------------------
 
     def _surviving_children(
@@ -183,16 +124,7 @@ class BKTree(Index):
         bounds: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Expand each pair's CSR children, keeping intersecting buckets."""
-        counts = self._child_offsets[nodes + 1] - self._child_offsets[nodes]
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        pair = np.repeat(np.arange(nodes.shape[0]), counts)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        slots = np.repeat(self._child_offsets[nodes], counts) + within
+        pair, slots = expand_csr(self._child_offsets, nodes)
         keep = (
             np.abs(distances[pair] - self._child_buckets[slots])
             <= bounds[pair]
@@ -254,9 +186,3 @@ class BKTree(Index):
                 query_ids, nodes, distances, state.radii[query_ids]
             )
         return state.results()
-
-    def _knn_approx_batch_impl(
-        self, queries: Sequence[Any], k: int, budget: Optional[int]
-    ) -> NeighborArrays:
-        # Exact search; the budget is ignored, as in the single-query path.
-        return self._knn_batch_impl(queries, k)

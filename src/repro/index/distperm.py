@@ -44,12 +44,11 @@ from repro.core.permutation import (
     permutations_from_distances,
 )
 from repro.core.storage import MappedCodeStore, StorageReport, storage_report
-from repro.index.base import Budget, Index, Neighbor, NeighborArrays
+from repro.index.base import Budget, Index, NeighborArrays
 from repro.index.batching import (
     exhaustive_knn_batch,
     exhaustive_range_batch,
     query_chunks,
-    scan_knn,
     take_points,
 )
 from repro.index.pivots import select_pivots
@@ -370,55 +369,18 @@ class DistPermIndex(Index):
         footrules = self._footrules_matrix(query_perm.reshape(1, -1))[0]
         return np.argsort(footrules, kind="stable")
 
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        # Exact by exhaustive verification; the permutation order does not
-        # change the result set, only the (irrelevant) evaluation order.
-        results = []
-        for i, point in enumerate(self.points):
-            d = self.metric.distance(query, point)
-            if d <= radius:
-                results.append(Neighbor(d, i))
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        # Exact kNN must verify every candidate (permutations admit no
-        # exclusion bound), so the proximity-preserving order is
-        # irrelevant here: scan in index order without spending the k
-        # site evaluations a query permutation would cost.
-        return scan_knn(self.metric, query, self.points, k)
-
-    def knn_approx(
-        self, query: Any, k: int, budget: Optional[int] = None
-    ) -> List[Neighbor]:
-        """Approximate kNN: evaluate only ``budget`` best-ranked candidates.
-
-        With ``budget = n`` this equals the exact answer; smaller budgets
-        trade recall for distance evaluations — the regime in which the
-        permutation index competes with LAESA at a fraction of the storage.
-        """
-        return super().knn_approx(query, k, budget=budget)
-
     def _clamp_budget(self, k: int, budget: Optional[int]) -> int:
         n = len(self.points)
         return n if budget is None else max(k, min(budget, n))
 
-    def _knn_approx_impl(
-        self, query: Any, k: int, budget: Optional[int]
-    ) -> List[Neighbor]:
-        return self._scan_in_order(query, k, self._clamp_budget(k, budget))
-
-    def _scan_in_order(self, query: Any, k: int, budget: int) -> List[Neighbor]:
-        # scan_knn's heap breaks ties exactly as sorted(Neighbor), so the
-        # budget-limited and exact paths agree wherever their candidate
-        # sets do.
-        order = self.candidate_order(query)
-        return scan_knn(self.metric, query, self.points, k,
-                        indices=order[:budget])
-
     # ------------------------------------------------------------------
-    # Batched query path: one ``to_sites`` call for the whole query set,
-    # a chunked footrule matrix, argpartition-based candidate selection,
-    # and one ``batch_distances`` call per query for verification.
+    # Query engine.  Exact range and kNN must verify every candidate
+    # (permutations admit no exclusion bound), so they scan the whole
+    # database without spending the site evaluations a query
+    # permutation would cost.  Approximate kNN makes one ``to_sites``
+    # call for the whole query set, a chunked footrule matrix,
+    # argpartition-based candidate selection, and one
+    # ``batch_distances`` call per query for verification.
     # ------------------------------------------------------------------
 
     def _range_batch_impl(

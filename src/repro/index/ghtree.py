@@ -12,15 +12,15 @@ build is iterative and batched, splitting each node's point set with two
 Python-level metric calls per point.  Queries run level-synchronously
 over an explicit ``(query, node)`` frontier — each level is two grouped
 :func:`~repro.index.batching.frontier_distances` evaluations (one per
-centre) and a vectorized hyperplane prune — with answers and
-distance-evaluation counts identical to the single-query path.
+centre) and a vectorized hyperplane prune — charging exactly one
+distance evaluation per visited ``(query, centre)`` pair.
 
-kNN traversal is level-synchronous rather than best-first: the
-pruning radius converges once per level instead of once per node, so
-a single kNN query evaluates some 25-60% more distances than the
-classic bound-ordered descent did — the price of a batched traversal
-whose answers *and* evaluation counts are identical on both query
-surfaces.  Range queries visit the same node set either way.
+kNN traversal is level-synchronous rather than best-first, single
+queries included (they run as batches of one): the pruning radius
+converges once per level instead of once per node, so a kNN query
+evaluates some 25-60% more distances than the classic bound-ordered
+descent — the price of one batched traversal for every query surface.
+Range queries visit the same node set either way.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor, NeighborArrays
+from repro.index.base import Index, NeighborArrays
 from repro.index.batching import (
     PRUNE_SAFETY,
     BatchKnnState,
     frontier_distances,
-    heap_neighbors,
-    heap_radius,
-    offer,
     rows_from_pairs,
     take_points,
 )
@@ -108,69 +105,7 @@ class GHTree(Index):
         self._right = np.asarray(right, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Single-query traversal: level-synchronous, scalar metric calls.
-    # ------------------------------------------------------------------
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        results: List[Neighbor] = []
-        frontier = [0]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                da = self.metric.distance(
-                    query, self.points[self._center_a[node]]
-                )
-                if da <= radius:
-                    results.append(Neighbor(da, int(self._center_a[node])))
-                if self._center_b[node] < 0:
-                    continue
-                db = self.metric.distance(
-                    query, self.points[self._center_b[node]]
-                )
-                if db <= radius:
-                    results.append(Neighbor(db, int(self._center_b[node])))
-                # Hyperplane bound: for x in the left half, d(q, x) >=
-                # (da - db) / 2; symmetric for the right half.  The
-                # build-time side assignment used vectorized distances,
-                # so the bound carries PRUNE_SAFETY slack.
-                eps = PRUNE_SAFETY * (1.0 + radius)
-                if self._left[node] >= 0 and (da - db) / 2.0 <= radius + eps:
-                    next_frontier.append(int(self._left[node]))
-                if self._right[node] >= 0 and (db - da) / 2.0 <= radius + eps:
-                    next_frontier.append(int(self._right[node]))
-            frontier = next_frontier
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        heap: List[tuple] = []
-        frontier = [0]
-        while frontier:
-            evaluated: List[Tuple[int, float, float]] = []
-            for node in frontier:
-                da = self.metric.distance(
-                    query, self.points[self._center_a[node]]
-                )
-                offer(heap, k, da, int(self._center_a[node]))
-                if self._center_b[node] < 0:
-                    continue
-                db = self.metric.distance(
-                    query, self.points[self._center_b[node]]
-                )
-                offer(heap, k, db, int(self._center_b[node]))
-                evaluated.append((node, da, db))
-            r = heap_radius(heap, k)
-            eps = PRUNE_SAFETY * (1.0 + r)
-            next_frontier: List[int] = []
-            for node, da, db in evaluated:
-                if self._left[node] >= 0 and (da - db) / 2.0 <= r + eps:
-                    next_frontier.append(int(self._left[node]))
-                if self._right[node] >= 0 and (db - da) / 2.0 <= r + eps:
-                    next_frontier.append(int(self._right[node]))
-            frontier = next_frontier
-        return heap_neighbors(heap)
-
-    # ------------------------------------------------------------------
-    # Batched traversal.
+    # Query traversal, level-synchronous over (query, node) pairs.
     # ------------------------------------------------------------------
 
     def _level_distances(
@@ -261,9 +196,3 @@ class GHTree(Index):
                 query_ids, nodes, da, db, has_b, state.radii[query_ids]
             )
         return state.results()
-
-    def _knn_approx_batch_impl(
-        self, queries: Sequence[Any], k: int, budget: Optional[int]
-    ) -> NeighborArrays:
-        # Exact search; the budget is ignored, as in the single-query path.
-        return self._knn_batch_impl(queries, k)

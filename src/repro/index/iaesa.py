@@ -10,18 +10,14 @@ average; same exact results.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, List
+from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor
+from repro.index.base import Index, Neighbor, NeighborArrays
+from repro.index.batching import PRUNE_SAFETY, heaps_to_arrays, offer
 
 __all__ = ["IAESA"]
-
-#: Same float-safety slack as AESA: never trust an elimination bound to
-#: the last ulp.  Slack only admits extra candidates; results stay exact.
-_SAFETY = 1e-9
 
 
 class IAESA(Index):
@@ -57,49 +53,66 @@ class IAESA(Index):
         footrules = np.abs(positions - query_positions[None, :]).sum(axis=1)
         return int(candidates[np.argmin(footrules)])
 
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        n = len(self.points)
-        lower = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        used: List[int] = []
-        query_distances: List[float] = []
-        results: List[Neighbor] = []
-        threshold = radius + _SAFETY * (1.0 + radius)
-        while alive.any():
-            pivot = self._select_next(alive, lower, used, query_distances)
-            alive[pivot] = False
-            d = self.metric.distance(query, self.points[pivot])
-            used.append(pivot)
-            query_distances.append(d)
-            if d <= radius:
-                results.append(Neighbor(d, pivot))
-            np.maximum(lower, np.abs(d - self.matrix[pivot]), out=lower)
-            alive &= lower <= threshold
-        return results
+    def _eliminate(
+        self, query: Any, visit: Callable[[int, float], float]
+    ) -> None:
+        """Run the elimination loop for one query.
 
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
+        ``visit(pivot, distance)`` records each evaluation and returns
+        the current elimination threshold (``inf`` while nothing can be
+        eliminated yet).
+        """
         n = len(self.points)
         lower = np.zeros(n)
         alive = np.ones(n, dtype=bool)
         used: List[int] = []
         query_distances: List[float] = []
-        heap: List[tuple] = []
         while alive.any():
             pivot = self._select_next(alive, lower, used, query_distances)
             alive[pivot] = False
             d = self.metric.distance(query, self.points[pivot])
             used.append(pivot)
             query_distances.append(d)
-            item = (-d, -pivot)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
             np.maximum(lower, np.abs(d - self.matrix[pivot]), out=lower)
-            if len(heap) == k:
+            alive &= lower <= visit(pivot, d)
+
+    # The pivot choice of each step depends on the query's whole history
+    # and scores every live candidate, so queries run one at a time.
+
+    def _range_batch_impl(
+        self, queries: Sequence[Any], radius: float
+    ) -> NeighborArrays:
+        rows: List[List[Neighbor]] = []
+        threshold = radius + PRUNE_SAFETY * (1.0 + radius)
+        for query in queries:
+            row: List[Neighbor] = []
+
+            def visit(pivot: int, d: float) -> float:
+                if d <= radius:
+                    row.append(Neighbor(d, pivot))
+                return threshold
+
+            self._eliminate(query, visit)
+            rows.append(row)
+        return NeighborArrays.from_lists(rows)
+
+    def _knn_batch_impl(
+        self, queries: Sequence[Any], k: int
+    ) -> NeighborArrays:
+        heaps: List[List[tuple]] = []
+        for query in queries:
+            heap: List[tuple] = []
+
+            def visit(pivot: int, d: float) -> float:
+                offer(heap, k, d, pivot)
+                if len(heap) < k:
+                    return np.inf
                 kth = -heap[0][0]
-                alive &= lower <= kth + _SAFETY * (1.0 + kth)
-        return [Neighbor(-nd, -ni) for nd, ni in heap]
+                return kth + PRUNE_SAFETY * (1.0 + kth)
+
+            self._eliminate(query, visit)
+            heaps.append(heap)
+        return heaps_to_arrays(heaps)
 
     def storage_floats(self) -> int:
         """Stored scalars: the full matrix, as for AESA."""

@@ -5,23 +5,19 @@ query point to each object in the database in turn" — every other index is
 validated against this one and judged by how many of those ``n`` distance
 evaluations it avoids.
 
-The batched query path has a direct distance-matrix formulation: one
-chunked :meth:`~repro.metrics.base.Metric.batch_distances` call per query
-block plus ``np.argpartition`` top-k extraction, which on vectorized
-metrics replaces ``n`` Python-level metric calls per query with a handful
-of array operations for the whole batch.
+The query engine is a direct distance-matrix formulation: one chunked
+:meth:`~repro.metrics.base.Metric.batch_distances` call per query block
+plus ``np.argpartition`` top-k extraction, which on vectorized metrics
+replaces ``n`` Python-level metric calls per query with a handful of
+array operations for the whole batch (or for a single query).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, Sequence
 
-from repro.index.base import Index, Neighbor, NeighborArrays
-from repro.index.batching import (
-    exhaustive_knn_batch,
-    exhaustive_range_batch,
-    scan_knn,
-)
+from repro.index.base import Index, NeighborArrays
+from repro.index.batching import exhaustive_knn_batch, exhaustive_range_batch
 
 __all__ = ["LinearScan"]
 
@@ -31,17 +27,6 @@ class LinearScan(Index):
 
     def _build(self) -> None:
         pass  # nothing to precompute
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        results = []
-        for i, point in enumerate(self.points):
-            d = self.metric.distance(query, point)
-            if d <= radius:
-                results.append(Neighbor(d, i))
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        return scan_knn(self.metric, query, self.points, k)
 
     def _range_batch_impl(
         self, queries: Sequence[Any], radius: float

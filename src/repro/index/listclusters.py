@@ -15,9 +15,11 @@ proceed cluster-by-cluster — the structure's levels — offering each
 cluster's center to every still-active query in one grouped call, then
 evaluating the triangle-filtered (query, bucket element) pairs with
 :func:`~repro.index.batching.frontier_distances`.  Within a cluster the
-kNN pruning radius is fixed at its post-center value (the bucket filter
-is one vectorized comparison), so the batched and single-query paths are
-answer-for-answer and count-for-count identical.
+kNN pruning radius is fixed at its post-center value, so the bucket
+filter is one vectorized comparison.  Stored radii and bucket distances
+come from the vectorized build, so every bound carries
+:data:`~repro.index.batching.PRUNE_SAFETY` slack against last-ulp drift
+of the query-time distances; slack only admits extra candidates.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor, NeighborArrays
+from repro.index.base import Index, NeighborArrays
 from repro.index.batching import (
     PRUNE_SAFETY,
     BatchKnnState,
+    expand_csr,
     frontier_distances,
-    heap_neighbors,
-    heap_radius,
-    offer,
     rows_from_pairs,
     take_points,
 )
@@ -109,6 +109,9 @@ class ListOfClusters(Index):
             chosen = set(bucket)
             remaining = [i for i in remaining if i not in chosen]
         self._centers = np.asarray(centers, dtype=np.int64)
+        # Center elements gathered once: a cluster's center is then a
+        # one-element slice, not a per-visit gather.
+        self._center_points = take_points(self.points, self._centers)
         self._radii = np.asarray(radii, dtype=np.float64)
         self._bucket_offsets = np.asarray(offsets, dtype=np.int64)
         self._bucket_items = np.asarray(bucket_items, dtype=np.int64)
@@ -131,143 +134,81 @@ class ListOfClusters(Index):
             )
         return views
 
-    def _bucket_slice(self, c: int) -> Tuple[np.ndarray, np.ndarray]:
-        start = int(self._bucket_offsets[c])
-        stop = int(self._bucket_offsets[c + 1])
-        return self._bucket_items[start:stop], self._bucket_dists[start:stop]
-
     # ------------------------------------------------------------------
-    # Single-query scan: the same cluster-by-cluster algorithm the
-    # batched path vectorizes, with scalar metric calls.
-    # ------------------------------------------------------------------
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        results: List[Neighbor] = []
-        for c in range(self._centers.shape[0]):
-            d_center = self.metric.distance(
-                query, self.points[self._centers[c]]
-            )
-            if d_center <= radius:
-                results.append(Neighbor(d_center, int(self._centers[c])))
-            # Stored radii and bucket distances come from the vectorized
-            # build, so every bound carries PRUNE_SAFETY slack against
-            # ulp drift from the scalar query-time formula.
-            eps = PRUNE_SAFETY * (1.0 + radius)
-            # Scan the bucket only if the query ball meets the cluster ball.
-            if d_center <= self._radii[c] + radius + eps:
-                items, dists = self._bucket_slice(c)
-                for i, d_ci in zip(items, dists):
-                    # Cheap triangle filter from the stored center distance.
-                    if abs(d_center - d_ci) > radius + eps:
-                        continue
-                    d = self.metric.distance(query, self.points[i])
-                    if d <= radius:
-                        results.append(Neighbor(d, int(i)))
-            # Containment cut: everything after this cluster lies outside
-            # its ball; if the query ball is inside, nothing later matches.
-            if d_center + radius < self._radii[c] - eps:
-                break
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        heap: List[tuple] = []
-        for c in range(self._centers.shape[0]):
-            d_center = self.metric.distance(
-                query, self.points[self._centers[c]]
-            )
-            offer(heap, k, d_center, int(self._centers[c]))
-            # The pruning radius is fixed for the whole bucket at its
-            # post-center value, so the filtered element set is one
-            # vectorized comparison in the batched path.
-            r = heap_radius(heap, k)
-            eps = PRUNE_SAFETY * (1.0 + r)
-            if d_center <= self._radii[c] + r + eps:
-                items, dists = self._bucket_slice(c)
-                for i, d_ci in zip(items, dists):
-                    if abs(d_center - d_ci) > r + eps:
-                        continue
-                    offer(
-                        heap, k,
-                        self.metric.distance(query, self.points[i]),
-                        int(i),
-                    )
-            r = heap_radius(heap, k)
-            if d_center + r < self._radii[c] - PRUNE_SAFETY * (1.0 + r):
-                break
-        return heap_neighbors(heap)
-
-    # ------------------------------------------------------------------
-    # Batched scan.
+    # Query scan, cluster by cluster over the still-active queries.
     # ------------------------------------------------------------------
 
     def _center_distances(
         self, queries: Sequence[Any], active: np.ndarray, c: int
     ) -> np.ndarray:
         return self.metric.batch_distances(
-            take_points(queries, active), [self.points[self._centers[c]]]
+            take_points(queries, active), self._center_points[c : c + 1]
         )[:, 0]
 
     def _bucket_pairs(
         self,
-        active: np.ndarray,
+        query_ids: np.ndarray,
+        clusters: np.ndarray,
         d_center: np.ndarray,
-        bounds: np.ndarray,
-        c: int,
+        radius: float,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Triangle-filtered (query, bucket element) pairs of one cluster."""
-        items, dists = self._bucket_slice(c)
-        eps = PRUNE_SAFETY * (1.0 + bounds)
-        scanning = np.flatnonzero(d_center <= self._radii[c] + bounds + eps)
-        if scanning.size == 0 or items.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        keep = (
-            np.abs(d_center[scanning, None] - dists[None, :])
-            <= (bounds + eps)[scanning, None]
+        """Triangle-filtered (query, bucket element) pairs at ``radius``.
+
+        One entry of ``query_ids``/``clusters``/``d_center`` per visited
+        (query, cluster) pair: the bucket is scanned only if the query
+        ball meets the cluster ball, and an element survives only if the
+        stored center distance does not already exclude it.
+        """
+        eps = PRUNE_SAFETY * (1.0 + radius)
+        scanning = np.flatnonzero(
+            d_center <= self._radii[clusters] + radius + eps
         )
-        rows, cols = np.nonzero(keep)
-        return active[scanning[rows]], items[cols]
+        owner, slots = expand_csr(self._bucket_offsets, clusters[scanning])
+        owner = scanning[owner]
+        keep = (
+            np.abs(d_center[owner] - self._bucket_dists[slots])
+            <= radius + eps
+        )
+        return query_ids[owner[keep]], self._bucket_items[slots[keep]]
 
     def _range_batch_impl(
         self, queries: Sequence[Any], radius: float
     ) -> NeighborArrays:
+        # The cluster walk needs only center distances (the containment
+        # cut never looks at bucket elements), so the bucket candidates
+        # of every visited (query, cluster) pair are evaluated together
+        # after the walk.
         n_queries = len(queries)
-        hit_queries: List[np.ndarray] = []
-        hit_indices: List[np.ndarray] = []
-        hit_distances: List[np.ndarray] = []
+        eps = PRUNE_SAFETY * (1.0 + radius)
+        visited: List[np.ndarray] = []
+        center_d: List[np.ndarray] = []
         active = np.arange(n_queries, dtype=np.int64)
         for c in range(self._centers.shape[0]):
             if active.size == 0:
                 break
             d_center = self._center_distances(queries, active, c)
-            hits = np.flatnonzero(d_center <= radius)
-            if hits.shape[0]:
-                hit_queries.append(active[hits])
-                hit_indices.append(
-                    np.full(hits.shape[0], self._centers[c], dtype=np.int64)
-                )
-                hit_distances.append(d_center[hits])
-            pair_queries, pair_items = self._bucket_pairs(
-                active, d_center, np.full(active.shape[0], radius), c
-            )
-            if pair_queries.size:
-                pair_d = frontier_distances(
-                    self.metric, queries, self.points, pair_queries, pair_items
-                )
-                hits = np.flatnonzero(pair_d <= radius)
-                if hits.shape[0]:
-                    hit_queries.append(pair_queries[hits])
-                    hit_indices.append(pair_items[hits])
-                    hit_distances.append(pair_d[hits])
-            eps = PRUNE_SAFETY * (1.0 + radius)
+            visited.append(active)
+            center_d.append(d_center)
             active = active[~(d_center + radius < self._radii[c] - eps)]
-        if not hit_queries:
+        if not visited:
             return NeighborArrays.empty(n_queries)
+        query_ids = np.concatenate(visited)
+        clusters = np.repeat(
+            np.arange(len(visited)), [ids.shape[0] for ids in visited]
+        )
+        d_center = np.concatenate(center_d)
+        pair_queries, pair_items = self._bucket_pairs(
+            query_ids, clusters, d_center, radius
+        )
+        pair_d = frontier_distances(
+            self.metric, queries, self.points, pair_queries, pair_items
+        )
+        query_ids = np.concatenate([query_ids, pair_queries])
+        indices = np.concatenate([self._centers[clusters], pair_items])
+        distances = np.concatenate([d_center, pair_d])
+        hits = distances <= radius
         return rows_from_pairs(
-            n_queries,
-            np.concatenate(hit_queries),
-            np.concatenate(hit_indices),
-            np.concatenate(hit_distances),
+            n_queries, query_ids[hits], indices[hits], distances[hits]
         )
 
     def _knn_batch_impl(
@@ -276,30 +217,39 @@ class ListOfClusters(Index):
         n_queries = len(queries)
         state = BatchKnnState(n_queries, k)
         active = np.arange(n_queries, dtype=np.int64)
+        offsets = self._bucket_offsets.tolist()
+        radii = self._radii.tolist()
         for c in range(self._centers.shape[0]):
             if active.size == 0:
                 break
             d_center = self._center_distances(queries, active, c)
             state.offer_pairs(
-                active,
-                np.full(active.shape[0], self._centers[c], dtype=np.int64),
-                d_center,
+                active, self._centers[c].repeat(active.shape[0]), d_center
             )
-            pair_queries, pair_items = self._bucket_pairs(
-                active, d_center, state.radii[active], c
-            )
-            if pair_queries.size:
-                pair_d = frontier_distances(
-                    self.metric, queries, self.points, pair_queries, pair_items
-                )
-                state.offer_pairs(pair_queries, pair_items, pair_d)
+            # The bucket filter of _bucket_pairs on one cluster's slice,
+            # at each query's post-center radius plus its float slack.
             bounds = state.radii[active]
-            eps = PRUNE_SAFETY * (1.0 + bounds)
-            active = active[~(d_center + bounds < self._radii[c] - eps)]
+            limit = bounds + PRUNE_SAFETY * (1.0 + bounds)
+            scanning = d_center <= radii[c] + limit
+            start, stop = offsets[c], offsets[c + 1]
+            if stop > start and scanning.any():
+                keep = (
+                    np.abs(d_center[:, None] - self._bucket_dists[start:stop])
+                    <= limit[:, None]
+                )
+                keep &= scanning[:, None]
+                rows, cols = np.nonzero(keep)
+                if rows.shape[0]:
+                    pair_queries = active[rows]
+                    pair_items = self._bucket_items[start + cols]
+                    pair_d = frontier_distances(
+                        self.metric, queries, self.points,
+                        pair_queries, pair_items,
+                    )
+                    state.offer_pairs(pair_queries, pair_items, pair_d)
+            # Containment cut; it needs the query inside the cluster ball.
+            if (d_center < radii[c]).any():
+                bounds = state.radii[active]
+                eps = PRUNE_SAFETY * (1.0 + bounds)
+                active = active[~(d_center + bounds < radii[c] - eps)]
         return state.results()
-
-    def _knn_approx_batch_impl(
-        self, queries: Sequence[Any], k: int, budget: Optional[int]
-    ) -> NeighborArrays:
-        # Exact search; the budget is ignored, as in the single-query path.
-        return self._knn_batch_impl(queries, k)

@@ -9,20 +9,16 @@ without evaluating the metric.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor
+from repro.core.permutation import footrule_matrix, permutations_from_distances
+from repro.index.base import Index, Neighbor, NeighborArrays
+from repro.index.batching import PRUNE_SAFETY, heaps_to_arrays, offer
 from repro.metrics.base import Metric
 
 __all__ = ["PivotIndex", "select_pivots"]
-
-#: Float-safety slack on pruning: stored table entries and fresh query
-#: distances may disagree in the last ulp.  Slack only admits extra
-#: candidates; results stay exact.
-_SAFETY = 1e-9
 
 
 def select_pivots(
@@ -113,8 +109,6 @@ class PivotIndex(Index):
         if self.candidate_order == "permutation":
             # Distance permutations of the pivots, derived from the table
             # at no metric cost (the paper's on-demand computation).
-            from repro.core.permutation import permutations_from_distances
-
             self.pivot_permutations = permutations_from_distances(self.table)
 
     def _query_pivot_distances(self, query: Any) -> np.ndarray:
@@ -124,69 +118,72 @@ class PivotIndex(Index):
     def _lower_bounds(self, query_distances: np.ndarray) -> np.ndarray:
         return np.abs(self.table - query_distances[None, :]).max(axis=1)
 
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        query_distances = self._query_pivot_distances(query)
-        bounds = self._lower_bounds(query_distances)
-        results = []
-        for pivot_rank, i in enumerate(self.pivot_indices):
+    # Each query's candidate order and early exit depend on its own pivot
+    # distances, so queries run one at a time over the shared table.
+
+    def _range_batch_impl(
+        self, queries: Sequence[Any], radius: float
+    ) -> NeighborArrays:
+        rows: List[List[Neighbor]] = []
+        pivot_set = set(self.pivot_indices)
+        threshold = radius + PRUNE_SAFETY * (1.0 + radius)
+        for query in queries:
+            query_distances = self._query_pivot_distances(query)
+            bounds = self._lower_bounds(query_distances)
             # Pivot distances are already known exactly; reuse them.
-            if query_distances[pivot_rank] <= radius:
-                results.append(Neighbor(float(query_distances[pivot_rank]), i))
+            row = [
+                Neighbor(float(query_distances[rank]), i)
+                for rank, i in enumerate(self.pivot_indices)
+                if query_distances[rank] <= radius
+            ]
+            for i in range(len(self.points)):
+                if i in pivot_set or bounds[i] > threshold:
+                    continue
+                d = self.metric.distance(query, self.points[i])
+                if d <= radius:
+                    row.append(Neighbor(d, i))
+            rows.append(row)
+        return NeighborArrays.from_lists(rows)
+
+    def _knn_batch_impl(
+        self, queries: Sequence[Any], k: int
+    ) -> NeighborArrays:
+        heaps: List[List[tuple]] = []
         pivot_set = set(self.pivot_indices)
-        threshold = radius + _SAFETY * (1.0 + radius)
-        for i in range(len(self.points)):
-            if i in pivot_set or bounds[i] > threshold:
-                continue
-            d = self.metric.distance(query, self.points[i])
-            if d <= radius:
-                results.append(Neighbor(d, i))
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        query_distances = self._query_pivot_distances(query)
-        bounds = self._lower_bounds(query_distances)
-        # Seed the result heap with the pivots (their distances are free).
-        heap: List[tuple] = []
-
-        def offer(distance: float, index: int) -> None:
-            item = (-distance, -index)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-
-        for pivot_rank, i in enumerate(self.pivot_indices):
-            offer(float(query_distances[pivot_rank]), i)
-        pivot_set = set(self.pivot_indices)
-        if self.candidate_order == "permutation":
-            # Proximity-preserving order: likely-close candidates first,
-            # shrinking the k-th distance early.  Bounds are not sorted,
-            # so candidates are skipped (not break) when they fail.
-            from repro.core.permutation import (
-                footrule_matrix,
-                permutations_from_distances,
-            )
-
-            query_perm = permutations_from_distances(query_distances)[0]
-            footrules = footrule_matrix(self.pivot_permutations, query_perm)
-            order = np.argsort(footrules, kind="stable")
-            early_exit = False
-        else:
-            # Classic LAESA: ascending lower bound; once the bound exceeds
-            # the current k-th distance, nothing later can qualify.
-            order = np.argsort(bounds, kind="stable")
-            early_exit = True
-        for i in order:
-            i = int(i)
-            if i in pivot_set:
-                continue
-            kth = -heap[0][0] if len(heap) == k else float("inf")
-            if bounds[i] > kth + _SAFETY * (1.0 + kth):
-                if early_exit:
-                    break
-                continue
-            offer(self.metric.distance(query, self.points[i]), i)
-        return [Neighbor(-nd, -ni) for nd, ni in heap]
+        for query in queries:
+            query_distances = self._query_pivot_distances(query)
+            bounds = self._lower_bounds(query_distances)
+            # Seed the result heap with the pivots (their distances are
+            # free).
+            heap: List[tuple] = []
+            for rank, i in enumerate(self.pivot_indices):
+                offer(heap, k, float(query_distances[rank]), i)
+            if self.candidate_order == "permutation":
+                # Proximity-preserving order: likely-close candidates
+                # first, shrinking the k-th distance early.  Bounds are
+                # not sorted, so candidates are skipped (not break) when
+                # they fail.
+                query_perm = permutations_from_distances(query_distances)[0]
+                footrules = footrule_matrix(self.pivot_permutations, query_perm)
+                order = np.argsort(footrules, kind="stable")
+                early_exit = False
+            else:
+                # Classic LAESA: ascending lower bound; once the bound
+                # exceeds the current k-th distance, nothing later can
+                # qualify.
+                order = np.argsort(bounds, kind="stable")
+                early_exit = True
+            for i in order.tolist():
+                if i in pivot_set:
+                    continue
+                kth = -heap[0][0] if len(heap) == k else float("inf")
+                if bounds[i] > kth + PRUNE_SAFETY * (1.0 + kth):
+                    if early_exit:
+                        break
+                    continue
+                offer(heap, k, self.metric.distance(query, self.points[i]), i)
+            heaps.append(heap)
+        return heaps_to_arrays(heaps)
 
     def storage_floats(self) -> int:
         """Stored scalars: the ``n x k`` pivot-distance table."""

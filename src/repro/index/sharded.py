@@ -75,7 +75,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.base import Budget, Index, Neighbor, NeighborArrays
+from repro.index.base import Budget, Index, NeighborArrays
 from repro.index.linear import LinearScan
 from repro.metrics.base import Metric
 from repro.parallel.census import shard_ranges
@@ -703,8 +703,7 @@ class ShardedIndex(Index):
         return self._query_payloads
 
     # ------------------------------------------------------------------
-    # Index implementation hooks: batched is primary, single-query is a
-    # batch of one.
+    # Index implementation hooks.
     # ------------------------------------------------------------------
 
     def _range_batch_impl(
@@ -728,17 +727,6 @@ class ShardedIndex(Index):
         if self._use_global_split(budget):
             return self._global_fanout(queries, k, budget)
         return self._fanout("knn-approx", queries, k, budget)
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        return self._range_batch_impl([query], radius).row_list(0)
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        return self._knn_batch_impl([query], k).row_list(0)
-
-    def _knn_approx_impl(
-        self, query: Any, k: int, budget: Optional[int]
-    ) -> List[Neighbor]:
-        return self._knn_approx_batch_impl([query], k, budget).row_list(0)
 
     # ------------------------------------------------------------------
     # Lifecycle.

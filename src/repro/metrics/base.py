@@ -39,8 +39,7 @@ class Metric(ABC):
         """Return the ``len(xs) x len(ys)`` matrix of pairwise distances."""
         out = np.empty((len(xs), len(ys)), dtype=np.float64)
         for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = self.distance(x, y)
+            out[i] = [self.distance(x, y) for y in ys]
         return out
 
     def encode(self, points: Sequence[Any]) -> Optional[Any]:

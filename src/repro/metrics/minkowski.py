@@ -79,6 +79,8 @@ class MinkowskiMetric(Metric):
             raise ValueError(
                 f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
             )
+        if a.shape[0] <= _CHUNK_ROWS:
+            return self._block(a, b)
         out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
         for start in range(0, a.shape[0], _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, a.shape[0])
@@ -87,11 +89,16 @@ class MinkowskiMetric(Metric):
 
     def _block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances for one chunk of rows; ``a`` is small enough to broadcast."""
+        if self.p == 2 and a.shape[0] == 1 and b.shape[0] == 1:
+            return np.array([[self._pair_l2(a, b)]])
         if self.p == 2:
             # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b avoids the n*m*d blow-up.
+            # ``np.add.reduce`` is ``np.sum`` without its Python-level
+            # dispatch, which dominates on the tiny blocks of tree
+            # frontiers and single queries.
             norms = (
-                np.sum(a * a, axis=1)[:, None]
-                + np.sum(b * b, axis=1)[None, :]
+                np.add.reduce(a * a, axis=1)[:, None]
+                + np.add.reduce(b * b, axis=1)[None, :]
             )
             sq = norms - 2.0 * (a @ b.T)
             np.maximum(sq, 0.0, out=sq)
@@ -100,7 +107,7 @@ class MinkowskiMetric(Metric):
             # of 0.  Recompute the few suspect entries directly so batch
             # results match the scalar path exactly there.
             suspect = sq <= 1e-10 * norms
-            if np.any(suspect):
+            if suspect.any():
                 rows, cols = np.nonzero(suspect)
                 diff = a[rows] - b[cols]
                 sq[rows, cols] = np.sum(diff * diff, axis=1)
@@ -111,6 +118,25 @@ class MinkowskiMetric(Metric):
         if self.p == 1:
             return diff.sum(axis=2)
         return np.sum(diff**self.p, axis=2) ** (1.0 / self.p)
+
+    @staticmethod
+    def _pair_l2(a: np.ndarray, b: np.ndarray) -> float:
+        """The ``p = 2`` block formula for one pair, in Python floats.
+
+        Single queries against one vantage or center (AESA rounds, List
+        of Clusters centers, tree frontiers) make one-entry blocks; the
+        same norms, product, clamp and cancellation repair as the array
+        formula, with the scalar arithmetic done on floats — bit-identical
+        values at a third of the numpy calls.
+        """
+        norms = float(np.add.reduce(a * a, axis=1)[0]) + float(
+            np.add.reduce(b * b, axis=1)[0]
+        )
+        sq = max(norms - 2.0 * float((a @ b.T)[0, 0]), 0.0)
+        if sq <= 1e-10 * norms:
+            diff = a - b
+            sq = float(np.add.reduce(diff * diff, axis=1)[0])
+        return math.sqrt(sq)
 
     def pairwise(self, xs) -> np.ndarray:
         a = _as_2d(xs)

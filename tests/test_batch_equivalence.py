@@ -1,11 +1,14 @@
-"""Batch/single equivalence: the core contract of the batched query engine.
+"""Both query surfaces against a brute-force oracle.
 
-For every index and for both a vectorized metric (Euclidean) and a
-loop-fallback metric (Levenshtein, tie-heavy), the batched API must return
-exactly what the looped single-query API returns — same neighbor indices,
-same distances, same ``(distance, index)`` tie-breaking — and must keep
-the :class:`~repro.index.base.SearchStats` accounts identical: one query
-entry per element of the batch and the same total distance evaluations.
+Every index answers through one batch engine; single queries are batches
+of one.  For every index and for both a vectorized metric (Euclidean) and
+discrete, tie-heavy metrics (the string family), the batched API and the
+looped single-query API must each equal the brute-force oracle (a double
+loop over ``metric.distance``, see ``conftest.py``) — same neighbor
+indices in the same ``(distance, index)`` order, distances within 1e-12 —
+and the :class:`~repro.index.base.SearchStats` accounts must agree: one
+query entry per element of the batch and the same total distance
+evaluations either way.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ INDEX_FACTORIES = {
         pts, m, bucket_size=12, rng=np.random.default_rng(5)
     ),
 }
-
-
-def _signature(neighbors):
-    return [(n.index, round(n.distance, 9)) for n in neighbors]
 
 
 @pytest.fixture(scope="module")
@@ -106,53 +105,83 @@ STRING_METRICS = {
 }
 
 
-def _assert_batch_matches_loop(index_factory, points, queries, metric_cls, k, radius):
+def _approx_oracle(index, oracle, query, k, budget):
+    """Budgeted kNN by brute force over the index's candidate prefix.
+
+    The permutation index evaluates the ``budget`` best-ranked
+    candidates of its public :meth:`candidate_order`; every other index
+    ignores the budget and is exact.
+    """
+    if not isinstance(index, DistPermIndex):
+        return oracle.knn(query, k)
+    budget = len(index) if budget is None else max(k, min(budget, len(index)))
+    return oracle.knn(query, k, candidates=index.candidate_order(query)[:budget])
+
+
+def _assert_surfaces_match_oracle(
+    index, oracle, queries, *, k, radius=None, budget=None
+):
+    """Single-query loop and batch agree with the oracle and each other."""
+    ops = [
+        (
+            lambda q: index.knn_query(q, k),
+            lambda qs: index.knn_batch(qs, k),
+            lambda q: oracle.knn(q, k),
+        ),
+        (
+            lambda q: index.knn_approx(q, k, budget=budget),
+            lambda qs: index.knn_approx_batch(qs, k, budget=budget),
+            lambda q: _approx_oracle(index, oracle, q, k, budget),
+        ),
+    ]
+    if radius is not None:
+        ops.append((
+            lambda q: index.range_query(q, radius),
+            lambda qs: index.range_batch(qs, radius),
+            lambda q: oracle.range(q, radius),
+        ))
+    for single, batch, expected in ops:
+        index.reset_stats()
+        looped = [single(q) for q in queries]
+        looped_stats = (index.stats.queries, index.stats.query_distances)
+        index.reset_stats()
+        batched = batch(queries)
+        batched_stats = (index.stats.queries, index.stats.query_distances)
+        assert len(batched) == len(queries)
+        for query, one, row in zip(queries, looped, batched):
+            want = expected(query)
+            oracle.check(one, want)
+            oracle.check(row, want)
+        assert batched_stats == looped_stats
+
+
+def _assert_batch_matches_loop(
+    index_factory, points, queries, metric_cls, k, radius, oracle_cls
+):
     index = index_factory(points, metric_cls())
-    index.reset_stats()
-    looped_knn = [index.knn_query(query, k) for query in queries]
-    looped_knn_stats = (index.stats.queries, index.stats.query_distances)
-    index.reset_stats()
-    batched_knn = index.knn_batch(queries, k)
-    batched_knn_stats = (index.stats.queries, index.stats.query_distances)
-
-    assert len(batched_knn) == len(queries)
-    for single, batch in zip(looped_knn, batched_knn):
-        assert _signature(batch) == _signature(single)
-    assert batched_knn_stats == looped_knn_stats
-
-    index.reset_stats()
-    looped_range = [index.range_query(query, radius) for query in queries]
-    looped_range_stats = (index.stats.queries, index.stats.query_distances)
-    index.reset_stats()
-    batched_range = index.range_batch(queries, radius)
-    batched_range_stats = (index.stats.queries, index.stats.query_distances)
-
-    for single, batch in zip(looped_range, batched_range):
-        assert _signature(batch) == _signature(single)
-    assert batched_range_stats == looped_range_stats
+    _assert_surfaces_match_oracle(
+        index, oracle_cls(points, metric_cls()), queries, k=k, radius=radius
+    )
 
 
 @pytest.mark.parametrize("name", INDEX_FACTORIES)
 class TestVectorizedMetricEquivalence:
-    def test_batch_matches_loop(self, name, vector_setup):
+    def test_batch_matches_loop(self, name, vector_setup, brute_force):
         points, queries, metric_cls = vector_setup
         _assert_batch_matches_loop(
             INDEX_FACTORIES[name], points, queries, metric_cls,
-            k=7, radius=0.35,
+            k=7, radius=0.35, oracle_cls=brute_force,
         )
 
-    def test_knn_approx_batch_matches_loop(self, name, vector_setup):
+    def test_knn_approx_batch_matches_loop(
+        self, name, vector_setup, brute_force
+    ):
         points, queries, metric_cls = vector_setup
         index = INDEX_FACTORIES[name](points, metric_cls())
-        index.reset_stats()
-        looped = [index.knn_approx(q, 5, budget=40) for q in queries]
-        looped_stats = (index.stats.queries, index.stats.query_distances)
-        index.reset_stats()
-        batched = index.knn_approx_batch(queries, 5, budget=40)
-        batched_stats = (index.stats.queries, index.stats.query_distances)
-        for single, batch in zip(looped, batched):
-            assert _signature(batch) == _signature(single)
-        assert batched_stats == looped_stats
+        _assert_surfaces_match_oracle(
+            index, brute_force(points, metric_cls()), queries,
+            k=5, budget=40,
+        )
 
 
 @pytest.mark.parametrize("metric_name", STRING_METRICS)
@@ -160,24 +189,24 @@ class TestVectorizedMetricEquivalence:
 class TestTieHeavyMetricEquivalence:
     """Discrete distances make ties pervasive: the hard tie-breaking case.
 
-    Every string metric runs through every index: the batched path routes
+    Every string metric runs through every index: the engine routes
     through the encoded kernels (including Levenshtein's banded range
-    matrix), the looped path through the scalar metric, and the two must
-    agree answer for answer and in the evaluation accounts.
+    matrix) and the metrics' small-matrix scalar loop, and both query
+    surfaces must equal the oracle answer for answer.
     """
 
-    def test_batch_matches_loop(self, name, metric_name):
+    def test_batch_matches_loop(self, name, metric_name, brute_force):
         metric_cls = STRING_METRICS[metric_name]
         words, queries = _string_database(metric_cls)
         _assert_batch_matches_loop(
             INDEX_FACTORIES[name], words, queries, metric_cls,
-            k=9, radius=2,
+            k=9, radius=2, oracle_cls=brute_force,
         )
 
 
 @pytest.mark.parametrize("name", ["distperm", "vptree"])
 class TestMyersPathEquivalence:
-    """Batch/single equivalence with the Myers kernel demonstrably armed.
+    """Both surfaces against the oracle with the Myers kernel armed.
 
     Gene-like strings (4-letter alphabet, lengths 40–90) make the cost
     model pick the bit-parallel blocked kernel for every matrix the index
@@ -208,37 +237,42 @@ class TestMyersPathEquivalence:
         )
         assert kernel == "myers"
 
-    def test_batch_matches_loop(self, name):
+    def test_batch_matches_loop(self, name, brute_force):
         words, queries = self._genes()
         _assert_batch_matches_loop(
             INDEX_FACTORIES[name], words, queries, LevenshteinDistance,
-            k=7, radius=30,
+            k=7, radius=30, oracle_cls=brute_force,
         )
 
-    def test_knn_approx_batch_matches_loop(self, name):
+    def test_knn_approx_batch_matches_loop(self, name, brute_force):
         words, queries = self._genes()
         index = INDEX_FACTORIES[name](words, LevenshteinDistance())
-        looped = [index.knn_approx(q, 5, budget=40) for q in queries]
-        batched = index.knn_approx_batch(queries, 5, budget=40)
-        for single, batch in zip(looped, batched):
-            assert _signature(batch) == _signature(single)
+        _assert_surfaces_match_oracle(
+            index, brute_force(words, LevenshteinDistance()), queries,
+            k=5, budget=40,
+        )
 
 
 @pytest.mark.parametrize("name", INDEX_FACTORIES)
 class TestSelfQueryEquivalence:
     """Queries drawn from the database itself: the vectorized Euclidean
     path must report an exact 0.0 self-distance (the dot-product matrix
-    formula cancels catastrophically there), matching the scalar path."""
+    formula cancels catastrophically there), on both surfaces."""
 
-    def test_database_points_as_queries(self, name, vector_setup):
+    def test_database_points_as_queries(
+        self, name, vector_setup, brute_force
+    ):
         points, _, metric_cls = vector_setup
         index = INDEX_FACTORIES[name](points, metric_cls())
+        oracle = brute_force(points, metric_cls())
         queries = points[[3, 57, 121]]
         batched = index.knn_batch(queries, 4)
         looped = [index.knn_query(query, 4) for query in queries]
-        for qi, (single, batch) in enumerate(zip(looped, batched)):
+        for query, single, batch in zip(queries, looped, batched):
             assert batch[0].distance == 0.0
-            assert _signature(batch) == _signature(single)
+            assert single[0].distance == 0.0
+            oracle.check(batch, oracle.knn(query, 4))
+            oracle.check(single, oracle.knn(query, 4))
 
 
 class TestBatchEdgeCases:
@@ -276,9 +310,9 @@ class TestBatchEdgeCases:
 
 
 class TestDistPermBudgetedBatch:
-    """The permutation index's batch path replaces the per-candidate heap
-    with argpartition selection — the budgeted candidate *set* and the
-    final answers must still match the single-query scan exactly."""
+    """The permutation index selects its budgeted candidates with
+    argpartition — the candidate *set* and the final answers must match
+    a brute-force scan of the stable candidate-order prefix exactly."""
 
     @pytest.fixture(scope="class")
     def string_index(self, string_setup):
@@ -289,33 +323,35 @@ class TestDistPermBudgetedBatch:
         return index, queries
 
     @pytest.mark.parametrize("budget", [1, 5, 30, 10_000])
-    def test_budgeted_batch_matches_loop_on_ties(self, string_index, budget):
+    def test_budgeted_batch_matches_loop_on_ties(
+        self, string_index, budget, string_setup, brute_force
+    ):
         index, queries = string_index
-        index.reset_stats()
-        looped = [index.knn_approx(q, 6, budget=budget) for q in queries]
-        looped_stats = (index.stats.queries, index.stats.query_distances)
-        index.reset_stats()
-        batched = index.knn_approx_batch(queries, 6, budget=budget)
-        batched_stats = (index.stats.queries, index.stats.query_distances)
-        for single, batch in zip(looped, batched):
-            assert _signature(batch) == _signature(single)
-        assert batched_stats == looped_stats
+        words, _, metric_cls = string_setup
+        _assert_surfaces_match_oracle(
+            index, brute_force(words, metric_cls()), queries,
+            k=6, budget=budget,
+        )
 
-    def test_full_budget_equals_exact_including_tie_indices(self, string_index):
+    def test_full_budget_equals_exact_including_tie_indices(
+        self, string_index, string_setup, brute_force
+    ):
         """Regression for budget-scan tie-breaking: with budget = n the
-        approximate scan (max-heap over the proximity order) must return
-        the *same indices* as exact knn_query, not just the same
-        distances — discrete metrics tie constantly, so any divergence
-        between the ``(-d, -i)`` heap order and the ``sorted(Neighbor)``
+        approximate search must return the *same indices* as the exact
+        oracle, not just the same distances — discrete metrics tie
+        constantly, so any divergence from the ``sorted(Neighbor)``
         order would show up here."""
         index, queries = string_index
+        words, _, metric_cls = string_setup
+        oracle = brute_force(words, metric_cls())
         n = len(index)
         for query in queries:
-            exact = index.knn_query(query, 8)
-            approx = index.knn_approx(query, 8, budget=n)
-            batch = index.knn_approx_batch([query], 8, budget=n)[0]
-            assert _signature(approx) == _signature(exact)
-            assert _signature(batch) == _signature(exact)
+            exact = oracle.knn(query, 8)
+            oracle.check(index.knn_query(query, 8), exact)
+            oracle.check(index.knn_approx(query, 8, budget=n), exact)
+            oracle.check(
+                index.knn_approx_batch([query], 8, budget=n)[0], exact
+            )
 
     def test_approx_batch_budget_caps_evaluations(self, string_index):
         index, queries = string_index
@@ -326,14 +362,14 @@ class TestDistPermBudgetedBatch:
 
 
 class TestBKTreeBatchFallback:
-    """BKTree has no vectorized override: the generic fallback must still
-    satisfy the batch contract on its native discrete-metric workload."""
+    """BKTree on its native discrete-metric workload: both surfaces
+    against the oracle."""
 
     @pytest.mark.parametrize("metric_name", STRING_METRICS)
-    def test_batch_matches_loop(self, metric_name):
+    def test_batch_matches_loop(self, metric_name, brute_force):
         metric_cls = STRING_METRICS[metric_name]
         words, queries = _string_database(metric_cls)
         _assert_batch_matches_loop(
             lambda pts, m: BKTree(pts, m), words, queries, metric_cls,
-            k=5, radius=1,
+            k=5, radius=1, oracle_cls=brute_force,
         )

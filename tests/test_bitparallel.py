@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import LevenshteinDistance, levenshtein
-from repro.metrics import bitparallel
+from repro.metrics import bitparallel, strings
 from repro.metrics.encoding import (
     clear_encoding_cache,
     encode_strings,
@@ -167,7 +167,10 @@ class TestBounded:
             assert np.array_equal(banded <= radius, inside)
             assert np.array_equal(banded[inside], true[inside])
 
-    def test_metric_banded_path_on_myers(self):
+    def test_metric_banded_path_on_myers(self, monkeypatch):
+        # Small enough for the metric's scalar tier; turn it off so the
+        # call reaches the banded kernel.
+        monkeypatch.setattr(strings, "_SCALAR_MAX_PAIRS", 0)
         metric = LevenshteinDistance()
         xs = ["abc", "a" * 25]
         ys = ["abd", "zzz", "a" * 24 + "b", ""]

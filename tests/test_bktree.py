@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.dictionaries import synthetic_dictionary
-from repro.index import BKTree, LinearScan
+from repro.index import BKTree
 from repro.metrics import (
     EuclideanDistance,
     HammingDistance,
@@ -21,8 +21,8 @@ def dictionary():
 
 
 @pytest.fixture(scope="module")
-def oracle(dictionary):
-    return LinearScan(dictionary, LevenshteinDistance())
+def oracle(dictionary, brute_force):
+    return brute_force(dictionary, LevenshteinDistance())
 
 
 class TestExactness:
@@ -30,19 +30,15 @@ class TestExactness:
         tree = BKTree(dictionary, LevenshteinDistance())
         for query in ("hello", "aaa", dictionary[17]):
             for radius in (0, 1, 2, 4):
-                got = [(n.index, n.distance)
-                       for n in tree.range_query(query, radius)]
-                want = [(n.index, n.distance)
-                        for n in oracle.range_query(query, radius)]
-                assert got == want
+                oracle.check(
+                    tree.range_query(query, radius), oracle.range(query, radius)
+                )
 
     def test_knn_matches_linear(self, dictionary, oracle):
         tree = BKTree(dictionary, LevenshteinDistance())
         for query in ("hello", "zzz"):
             for k in (1, 5, 25):
-                got = sorted(n.distance for n in tree.knn_query(query, k))
-                want = sorted(n.distance for n in oracle.knn_query(query, k))
-                assert got == want
+                oracle.check(tree.knn_query(query, k), oracle.knn(query, k))
 
     def test_duplicates_handled(self):
         words = ["abc", "abd", "abc", "xyz", "abc"]
@@ -50,14 +46,14 @@ class TestExactness:
         result = tree.range_query("abc", 0)
         assert {n.index for n in result} == {0, 2, 4}
 
-    def test_prefix_metric_supported(self):
+    def test_prefix_metric_supported(self, brute_force):
         words = ["a", "ab", "abc", "b", "ba"]
         tree = BKTree(words, PrefixDistance())
-        oracle = LinearScan(words, PrefixDistance())
+        oracle = brute_force(words, PrefixDistance())
         for radius in (1, 2, 3):
-            got = [(n.index, n.distance) for n in tree.range_query("ab", radius)]
-            want = [(n.index, n.distance) for n in oracle.range_query("ab", radius)]
-            assert got == want
+            oracle.check(
+                tree.range_query("ab", radius), oracle.range("ab", radius)
+            )
 
     def test_hamming_metric_supported(self):
         words = ["0000", "0001", "0011", "1111", "1010"]

@@ -114,7 +114,6 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "queries/sec:" in out
         assert "distances/query:" in out
-        assert "(batched)" in out
         assert "query 0:" in out and "query 1:" in out
 
     def test_knn_approx_budget_caps_cost(self, tmp_path, capsys, rng):
@@ -131,17 +130,6 @@ class TestSearch:
         cost = float(out.split("distances/query: ")[1].split()[0])
         assert cost == 20 + 4  # budget + site evaluations per query
 
-    def test_no_batch_loops_single_queries(self, tmp_path, capsys, rng):
-        path = tmp_path / "vectors.txt"
-        save_vectors(path, rng.random((60, 2)))
-        code = main([
-            "search", "--input", str(path), "--kind", "vectors",
-            "--metric", "l1", "--index", "linear", "--mode", "range",
-            "--radius", "0.4", "--n-queries", "5", "--no-batch",
-        ])
-        assert code == 0
-        assert "(looped single-query)" in capsys.readouterr().out
-
     def test_string_workload_with_query_file(self, tmp_path, capsys):
         db = tmp_path / "words.txt"
         save_strings(db, ["hello", "help", "word", "world", "cat", "cart",
@@ -157,26 +145,6 @@ class TestSearch:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 queries" in out
-
-    def test_batch_and_loop_agree(self, tmp_path, capsys, rng):
-        path = tmp_path / "vectors.txt"
-        save_vectors(path, rng.random((80, 3)))
-        argv = [
-            "search", "--input", str(path), "--kind", "vectors",
-            "--metric", "l2", "--index", "aesa", "--mode", "knn",
-            "--k", "4", "--n-queries", "6", "--show", "6",
-        ]
-        assert main(argv) == 0
-        batched = capsys.readouterr().out
-        assert main(argv + ["--no-batch"]) == 0
-        looped = capsys.readouterr().out
-        def extract(text):
-            return [
-                line for line in text.splitlines()
-                if line.startswith("query ")
-            ]
-
-        assert extract(batched) == extract(looped)
 
     def test_empty_database(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"

@@ -6,13 +6,13 @@ index kernels, the sharded column merge, and the resident worker wire.
 The public API is a thin boundary view over the columns, so the binding
 contract is entry-for-entry equality: for every index, metric, and
 operation, the ``*_batch_arrays`` columns must decode to exactly the
-``Neighbor`` lists the public API returns (and the looped single-query
-API agrees row for row).  On top of that, this module pins the sharded
-merge's ``(distance, index)`` tie-break order, the global-footrule
-budget split (including its degrade-mode budget redistribution, checked
-against the committed ``BENCH_resilience.json`` curve), the resident
-build path, and the ``reply_bytes`` observability of the array-reply
-IPC format.
+``Neighbor`` lists the public API returns, and the looped single-query
+API and the batch rows both equal the brute-force oracle.  On top of
+that, this module pins the sharded merge's ``(distance, index)``
+tie-break order, the global-footrule budget split (including its
+degrade-mode budget redistribution, checked against the committed
+``BENCH_resilience.json`` curve), the resident build path, and the
+``reply_bytes`` observability of the array-reply IPC format.
 """
 
 from __future__ import annotations
@@ -98,50 +98,69 @@ def _assert_well_formed(rows: NeighborArrays, n_queries: int):
     assert np.all(np.diff(rows.offsets) >= 0)
 
 
-def _assert_arrays_match_lists(index, queries, *, k, radius, budget):
-    """Columns, public lists, and looped singles agree entry for entry."""
+def _approx_expected(index, oracle, query, k, budget):
+    """Budgeted kNN by brute force over the candidate-order prefix
+    (the permutation index); every other index is exact."""
+    if not isinstance(index, DistPermIndex):
+        return oracle.knn(query, k)
+    budget = max(k, min(budget, len(index)))
+    return oracle.knn(query, k, candidates=index.candidate_order(query)[:budget])
+
+
+def _assert_arrays_match_lists(index, oracle, queries, *, k, radius, budget):
+    """Columns and public lists agree entry for entry; lists and looped
+    singles equal the brute-force oracle."""
     cases = [
         (
             index.knn_batch_arrays(queries, k),
             index.knn_batch(queries, k),
             lambda q: index.knn_query(q, k),
+            lambda q: oracle.knn(q, k),
         ),
         (
             index.range_batch_arrays(queries, radius),
             index.range_batch(queries, radius),
             lambda q: index.range_query(q, radius),
+            lambda q: oracle.range(q, radius),
         ),
         (
             index.knn_approx_batch_arrays(queries, k, budget=budget),
             index.knn_approx_batch(queries, k, budget=budget),
             lambda q: index.knn_approx(q, k, budget=budget),
+            lambda q: _approx_expected(index, oracle, q, k, budget),
         ),
     ]
-    for rows, lists, single in cases:
+    for rows, lists, single, expected in cases:
         _assert_well_formed(rows, len(queries))
         assert len(lists) == len(queries)
         for q, (query, row) in enumerate(zip(queries, lists)):
             assert _signature(rows.row_list(q)) == _signature(row)
-            assert _signature(single(query)) == _signature(row)
+            want = expected(query)
+            oracle.check(row, want)
+            oracle.check(single(query), want)
 
 
 @pytest.mark.parametrize("name", INDEX_FACTORIES)
 class TestArraysMatchLists:
     """The property grid: every index x metric x op, single + batch."""
 
-    def test_vector_metric(self, name, vector_setup):
+    def test_vector_metric(self, name, vector_setup, brute_force):
         if name == "bktree":
             pytest.skip("BKTree requires an integer-valued metric")
         points, queries, metric_cls = vector_setup
         index = INDEX_FACTORIES[name](points, metric_cls())
         _assert_arrays_match_lists(
-            index, queries, k=6, radius=0.35, budget=40
+            index, brute_force(points, metric_cls()), queries,
+            k=6, radius=0.35, budget=40,
         )
 
-    def test_string_metric(self, name, string_setup):
+    def test_string_metric(self, name, string_setup, brute_force):
         words, queries, metric_cls = string_setup
         index = INDEX_FACTORIES[name](words, metric_cls())
-        _assert_arrays_match_lists(index, queries, k=8, radius=2, budget=40)
+        _assert_arrays_match_lists(
+            index, brute_force(words, metric_cls()), queries,
+            k=8, radius=2, budget=40,
+        )
 
 
 class TestShardedMergeTieBreak:

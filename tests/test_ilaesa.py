@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index import LinearScan, PivotIndex
+from repro.index import PivotIndex
 from repro.metrics import EuclideanDistance, LevenshteinDistance
 
 
 @pytest.fixture(scope="module")
-def setup():
+def setup(brute_force):
     rng = np.random.default_rng(33)
     points = rng.random((500, 4))
     queries = rng.random((12, 4))
     metric = EuclideanDistance()
-    return points, queries, metric, LinearScan(points, metric)
+    return points, queries, metric, brute_force(points, metric)
 
 
 class TestExactness:
@@ -27,11 +27,7 @@ class TestExactness:
         )
         for query in queries:
             for k in (1, 5, 20):
-                got = sorted(round(n.distance, 9)
-                             for n in index.knn_query(query, k))
-                want = sorted(round(n.distance, 9)
-                              for n in oracle.knn_query(query, k))
-                assert got == want
+                oracle.check(index.knn_query(query, k), oracle.knn(query, k))
 
     def test_range_unaffected_by_order_option(self, setup):
         points, queries, metric, oracle = setup
@@ -40,25 +36,21 @@ class TestExactness:
             rng=np.random.default_rng(2),
         )
         for query in queries[:4]:
-            got = [(n.index, round(n.distance, 9))
-                   for n in index.range_query(query, 0.3)]
-            want = [(n.index, round(n.distance, 9))
-                    for n in oracle.range_query(query, 0.3)]
-            assert got == want
+            oracle.check(
+                index.range_query(query, 0.3), oracle.range(query, 0.3)
+            )
 
-    def test_string_metric(self):
+    def test_string_metric(self, brute_force):
         words = ["hello", "help", "held", "word", "world", "ward",
                  "care", "core", "cart", "carp"] * 10
         metric = LevenshteinDistance()
-        oracle = LinearScan(words, metric)
+        oracle = brute_force(words, metric)
         index = PivotIndex(
             words, metric, n_pivots=4, candidate_order="permutation",
             rng=np.random.default_rng(3),
         )
         for query in ("hold", "wars"):
-            got = sorted(n.distance for n in index.knn_query(query, 5))
-            want = sorted(n.distance for n in oracle.knn_query(query, 5))
-            assert got == want
+            oracle.check(index.knn_query(query, 5), oracle.knn(query, 5))
 
 
 class TestBehaviour:

@@ -13,7 +13,6 @@ from repro.index import (
     AESA,
     DistPermIndex,
     IAESA,
-    LinearScan,
     PivotIndex,
     VPTree,
 )
@@ -159,18 +158,18 @@ class TestDistPermIndex:
         assert report.realized_permutations == index.unique_permutations()
         assert report.n == len(database)
 
-    def test_full_budget_approx_equals_exact(self, database, queries):
+    def test_full_budget_approx_equals_exact(
+        self, database, queries, brute_force
+    ):
         metric = EuclideanDistance()
         index = DistPermIndex(database, metric, n_sites=8,
                               rng=np.random.default_rng(9))
-        exact = sorted(
-            round(n.distance, 9) for n in index.knn_query(queries[0], 5)
+        oracle = brute_force(database, metric)
+        exact = oracle.knn(queries[0], 5)
+        oracle.check(index.knn_query(queries[0], 5), exact)
+        oracle.check(
+            index.knn_approx(queries[0], 5, budget=len(database)), exact
         )
-        approx = sorted(
-            round(n.distance, 9)
-            for n in index.knn_approx(queries[0], 5, budget=len(database))
-        )
-        assert exact == approx
 
     def test_budget_caps_evaluations(self, database, queries):
         metric = EuclideanDistance()
@@ -181,7 +180,7 @@ class TestDistPermIndex:
         # 50 candidates + k site distances for the query permutation.
         assert index.stats.query_distances <= 50 + index.n_sites
 
-    def test_candidate_order_puts_nearby_first(self, database):
+    def test_candidate_order_puts_nearby_first(self, database, brute_force):
         """The proximity-preserving order: the budgeted prefix should have
         better recall than a random prefix of the same size."""
         metric = EuclideanDistance()
@@ -193,26 +192,26 @@ class TestDistPermIndex:
         budget = 60
         for _ in range(10):
             query = rng.random(4)
-            oracle = LinearScan(database, metric)
-            true_ids = {n.index for n in oracle.knn_query(query, 10)}
+            oracle = brute_force(database, metric)
+            true_ids = {i for i, _ in oracle.knn(query, 10)}
             order = index.candidate_order(query)[:budget]
             hits_perm += len(true_ids & {int(i) for i in order})
             random_ids = rng.choice(len(database), size=budget, replace=False)
             hits_random += len(true_ids & {int(i) for i in random_ids})
         assert hits_perm > hits_random
 
-    def test_recall_improves_with_budget(self, database):
+    def test_recall_improves_with_budget(self, database, brute_force):
         metric = EuclideanDistance()
         index = DistPermIndex(database, metric, n_sites=10,
                               rng=np.random.default_rng(13))
-        oracle = LinearScan(database, metric)
+        oracle = brute_force(database, metric)
         rng = np.random.default_rng(14)
         recalls = []
         for budget in (20, 100, 400):
             hits = 0
             for i in range(8):
                 query = rng.random(4)
-                truth = {n.index for n in oracle.knn_query(query, 5)}
+                truth = {i for i, _ in oracle.knn(query, 5)}
                 got = {n.index for n in index.knn_approx(query, 5, budget=budget)}
                 hits += len(truth & got)
             recalls.append(hits)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index import LinearScan
 from repro.index.listclusters import ListOfClusters
 from repro.metrics import EuclideanDistance, LevenshteinDistance
 
@@ -17,46 +16,40 @@ def vectors():
 
 
 class TestExactness:
-    def test_range_matches_linear(self, vectors):
+    def test_range_matches_linear(self, vectors, brute_force):
         points, queries = vectors
         metric = EuclideanDistance()
         index = ListOfClusters(points, metric, bucket_size=12,
                                rng=np.random.default_rng(1))
-        oracle = LinearScan(points, metric)
+        oracle = brute_force(points, metric)
         for query in queries:
             for radius in (0.05, 0.2, 0.7):
-                got = [(n.index, round(n.distance, 9))
-                       for n in index.range_query(query, radius)]
-                want = [(n.index, round(n.distance, 9))
-                        for n in oracle.range_query(query, radius)]
-                assert got == want
+                oracle.check(
+                    index.range_query(query, radius),
+                    oracle.range(query, radius),
+                )
 
-    def test_knn_matches_linear(self, vectors):
+    def test_knn_matches_linear(self, vectors, brute_force):
         points, queries = vectors
         metric = EuclideanDistance()
         index = ListOfClusters(points, metric, bucket_size=12,
                                rng=np.random.default_rng(2))
-        oracle = LinearScan(points, metric)
+        oracle = brute_force(points, metric)
         for query in queries:
             for k in (1, 7, 30):
-                got = sorted(round(n.distance, 9)
-                             for n in index.knn_query(query, k))
-                want = sorted(round(n.distance, 9)
-                              for n in oracle.knn_query(query, k))
-                assert got == want
+                oracle.check(index.knn_query(query, k), oracle.knn(query, k))
 
-    def test_strings(self, small_words):
+    def test_strings(self, small_words, brute_force):
         metric = LevenshteinDistance()
         index = ListOfClusters(small_words, metric, bucket_size=4,
                                rng=np.random.default_rng(3))
-        oracle = LinearScan(small_words, metric)
+        oracle = brute_force(small_words, metric)
         for query in ("hold", "genes"):
             for radius in (1, 2, 3):
-                got = [(n.index, n.distance)
-                       for n in index.range_query(query, radius)]
-                want = [(n.index, n.distance)
-                        for n in oracle.range_query(query, radius)]
-                assert got == want
+                oracle.check(
+                    index.range_query(query, radius),
+                    oracle.range(query, radius),
+                )
 
     def test_self_query_radius_zero(self, vectors):
         points, _ = vectors

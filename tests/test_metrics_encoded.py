@@ -5,7 +5,9 @@ with the scalar DP: every batched Levenshtein/Hamming/prefix matrix must
 equal the scalar double loop on arbitrary unicode strings (empty strings,
 equal strings, heavy ties, NUL characters that collide with the pad
 value), and :class:`~repro.metrics.base.CountingMetric` accounting must be
-identical through the encoded path.
+identical through the encoded path.  The metrics loop the scalar kernel
+on matrices too small to repay a batched call; this module turns that
+tier off so its small property-test matrices reach the kernels.
 """
 
 from __future__ import annotations
@@ -23,12 +25,22 @@ from repro.metrics import (
     levenshtein,
 )
 from repro.metrics.base import Metric
+from repro.metrics import strings
 from repro.metrics.encoding import (
     EncodedStrings,
     clear_encoding_cache,
     encode_strings,
     levenshtein_matrix,
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def batched_kernels_only():
+    """Route every metric matrix, however small, through the kernels."""
+    saved = strings._SCALAR_MAX_PAIRS
+    strings._SCALAR_MAX_PAIRS = 0
+    yield
+    strings._SCALAR_MAX_PAIRS = saved
 
 # Broad alphabet: ASCII, NUL (collides with the pad value), a combining
 # mark, and astral-plane code points; tiny alphabet for heavy ties.

@@ -174,3 +174,35 @@ class TestHamming:
 
     def test_metric_class(self):
         assert HammingDistance().distance("abc", "abd") == 1.0
+
+
+class TestSmallMatrixScalarTier:
+    """Matrices of at most ``_SCALAR_MAX_PAIRS`` entries skip the kernels."""
+
+    def test_small_matrix_loops_scalar_and_matches_kernel(self):
+        import numpy as np
+
+        from repro.metrics import encoding, strings
+        from repro.metrics.encoding import encode_strings, levenshtein_matrix
+
+        xs = ["kitten", "sitting"]
+        ys = ["mitten", "fitting", "kit", ""]
+        assert len(xs) * len(ys) <= strings._SCALAR_MAX_PAIRS
+        encoding.clear_encoding_cache()
+        metric = LevenshteinDistance()
+        small = metric.matrix(xs, ys)
+        within = metric.batch_distances_within(xs, ys, 1.0)
+        # Neither call encoded anything: no kernel ran.
+        assert len(encoding._ENCODE_CACHE) == 0
+        kernel = levenshtein_matrix(encode_strings(xs), encode_strings(ys))
+        assert np.array_equal(small, kernel)
+        assert np.array_equal(within, kernel)
+
+    def test_large_matrix_uses_kernel(self):
+        from repro.metrics import encoding, strings
+
+        xs = ["ab", "ba", "abc"]
+        ys = [f"w{i}" for i in range(strings._SCALAR_MAX_PAIRS)]
+        encoding.clear_encoding_cache()
+        LevenshteinDistance().matrix(xs, ys)
+        assert len(encoding._ENCODE_CACHE) == 2

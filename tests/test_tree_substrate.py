@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.dictionaries import synthetic_dictionary
-from repro.index import BKTree, GHTree, LinearScan, ListOfClusters, VPTree
+from repro.index import BKTree, GHTree, ListOfClusters, VPTree
 from repro.metrics import EuclideanDistance, LevenshteinDistance
 
 
@@ -163,9 +163,10 @@ class TestDegenerateShapes:
         ):
             index = factory()
             assert _signature(index.knn_query("one", 3)) == [(0, 0.0)]
-            assert index.range_batch(["on", "x"], 2)[0] == index.range_query(
-                "on", 2
-            )
+            assert _signature(index.range_batch(["on", "x"], 2)[0]) == [
+                (0, 1.0)
+            ]
+            assert _signature(index.range_query("on", 2)) == [(0, 1.0)]
 
 
 class TestBKTreeDuplicates:
@@ -196,47 +197,46 @@ class TestBKTreeDuplicates:
             node = zero[0]
         assert chain == copies
 
-    def test_duplicates_returned_from_all_query_surfaces(self):
+    def test_duplicates_returned_from_all_query_surfaces(self, brute_force):
         tree = BKTree(self.WORDS, LevenshteinDistance())
-        oracle = LinearScan(self.WORDS, LevenshteinDistance())
+        oracle = brute_force(self.WORDS, LevenshteinDistance())
         copies = {i for i, w in enumerate(self.WORDS) if w == "abc"}
 
         ranged = tree.range_query("abc", 0)
         assert {n.index for n in ranged} == copies
+        oracle.check(ranged, oracle.range("abc", 0))
 
         knn = tree.knn_query("abc", len(copies))
-        assert _signature(knn) == _signature(
-            oracle.knn_query("abc", len(copies))
-        )
+        oracle.check(knn, oracle.knn("abc", len(copies)))
         assert {n.index for n in knn} == copies
 
-        batched = tree.range_batch(["abc"], 0)[0]
-        assert _signature(batched) == _signature(ranged)
-        batched_knn = tree.knn_batch(["abc"], len(copies))[0]
-        assert _signature(batched_knn) == _signature(knn)
+        oracle.check(tree.range_batch(["abc"], 0)[0], oracle.range("abc", 0))
+        oracle.check(
+            tree.knn_batch(["abc"], len(copies))[0],
+            oracle.knn("abc", len(copies)),
+        )
 
-    def test_duplicate_heavy_dictionary(self):
+    def test_duplicate_heavy_dictionary(self, brute_force):
         rng = np.random.default_rng(9)
         base = synthetic_dictionary("English", 40, rng)
         words = [w for w in base for _ in range(3)]  # every word 3 times
         tree = BKTree(words, LevenshteinDistance())
-        oracle = LinearScan(words, LevenshteinDistance())
+        oracle = brute_force(words, LevenshteinDistance())
         for query in (words[0], "zzz", "the"):
             for radius in (0, 1, 2):
-                assert _signature(tree.range_query(query, radius)) == (
-                    _signature(oracle.range_query(query, radius))
+                oracle.check(
+                    tree.range_query(query, radius), oracle.range(query, radius)
                 )
-            assert _signature(tree.knn_query(query, 9)) == _signature(
-                oracle.knn_query(query, 9)
-            )
+            oracle.check(tree.knn_query(query, 9), oracle.knn(query, 9))
 
 
 class TestLargerBatchEquivalence:
     """A bigger randomized workload than the fixed equivalence suite:
-    batched answers and stats must match the looped single-query path on
-    a duplicate-carrying dictionary."""
+    batched and looped single-query answers must equal the brute-force
+    oracle, with the same evaluation accounts, on a duplicate-carrying
+    dictionary."""
 
-    def test_all_trees_on_duplicated_dictionary(self):
+    def test_all_trees_on_duplicated_dictionary(self, brute_force):
         rng = np.random.default_rng(10)
         words = synthetic_dictionary("English", 250, rng)
         words = words + words[:50]  # 50 duplicates
@@ -250,6 +250,7 @@ class TestLargerBatchEquivalence:
                 pts, m, bucket_size=8, rng=np.random.default_rng(13)
             ),
         ]
+        oracle = brute_force(words, metric())
         for factory in factories:
             index = factory(words, metric())
             index.reset_stats()
@@ -258,8 +259,9 @@ class TestLargerBatchEquivalence:
             index.reset_stats()
             batched = index.knn_batch(queries, 12)
             batched_stats = (index.stats.queries, index.stats.query_distances)
-            for single, batch in zip(looped, batched):
-                assert _signature(batch) == _signature(single)
+            for query, single, batch in zip(queries, looped, batched):
+                oracle.check(single, oracle.knn(query, 12))
+                oracle.check(batch, oracle.knn(query, 12))
             assert batched_stats == looped_stats
 
             index.reset_stats()
@@ -268,6 +270,7 @@ class TestLargerBatchEquivalence:
             index.reset_stats()
             batched_r = index.range_batch(queries, 2)
             batched_stats = (index.stats.queries, index.stats.query_distances)
-            for single, batch in zip(looped_r, batched_r):
-                assert _signature(batch) == _signature(single)
+            for query, single, batch in zip(queries, looped_r, batched_r):
+                oracle.check(single, oracle.range(query, 2))
+                oracle.check(batch, oracle.range(query, 2))
             assert batched_stats == looped_stats
